@@ -4,15 +4,19 @@ The baseline operation attends image tokens over the full prompt embedding:
 
     Y = softmax(Q K^T / sqrt(d_k)) V,  Q = F_img W_q, K = F_txt W_k, V = F_txt W_v
 
-The region-routed variant ("cts": center-total-surrounding) runs two extra
-key/value branches over the center and surrounding prompt streams, reusing
-the same query projection, gates the two branch outputs by the binary
-region mask (1 = surrounding token, 0 = center token), and blends the gated
-sum with the baseline output through a scalar fusion weight:
+The region-routed variant ("cts": center-total-surrounding) reuses the same
+query projection for a second, regional attention over the concatenated
+[center; surrounding] prompt streams, whose keys and values come from the
+branch weights. The binary region mask (1 = surrounding token, 0 = center
+token) routes it: logits of keys outside a token's own region are set to
+-inf before the one softmax, so center tokens read only the center stream
+and surrounding tokens only the surrounding stream. The regional output is
+blended with the baseline through a scalar fusion weight:
 
-    regional = center_out * (1 - mask) + surround_out * mask
-    output   = (1 - fusion) * baseline + fusion * regional
+    regional = softmax(Q [K_c; K_s]^T / sqrt(d_k) + M) [V_c; V_s]
+    output   = baseline + fusion * (regional - baseline)
 
+where M[i, j] is 0 if key j lies in token i's region and -inf otherwise.
 At fusion = 0 the module is exactly the baseline, which is why the extra
 branches are initialized as copies of the baseline key/value weights.
 """
@@ -56,10 +60,6 @@ class CrossAttnWeights:
             raise ShapeMismatch(
                 f"w_q and w_k disagree on key width: {self.w_q.shape} vs {self.w_k.shape}"
             )
-
-    @property
-    def d_k(self) -> int:
-        return self.w_q.shape[1]
 
 
 @dataclass
@@ -110,10 +110,11 @@ class RegionMask:
         return self.values.shape[0]
 
 
-def _attend(q: Tensor, f_txt: Tensor, w_k: Tensor, w_v: Tensor, d_k: int) -> Tensor:
-    k = T.matmul(f_txt, w_k)
-    v = T.matmul(f_txt, w_v)
-    logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
+def _attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d_k)) v; keys where ``allowed`` is False get no weight."""
+    logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    if allowed is not None:
+        logits = T.add(logits, Tensor(np.where(allowed, 0.0, -np.inf)))
     return T.matmul(T.softmax_rows(logits), v)
 
 
@@ -122,7 +123,7 @@ def cross_attention(image_tokens, text_tokens, w: CrossAttnWeights) -> Tensor:
     image_tokens = T.as_tensor(image_tokens)
     text_tokens = T.as_tensor(text_tokens)
     q = T.matmul(image_tokens, w.w_q)
-    return _attend(q, text_tokens, w.w_k, w.w_v, w.d_k)
+    return _attend(q, T.matmul(text_tokens, w.w_k), T.matmul(text_tokens, w.w_v))
 
 
 def cts_cross_attention(
@@ -131,7 +132,8 @@ def cts_cross_attention(
     """Region-routed cross-attention (see module docstring).
 
     The query projection is computed once from the image stream and shared
-    by all three branches; only keys and values are branch-specific.
+    by the baseline and the regional attention; only keys and values are
+    branch-specific.
     """
     image_tokens = T.as_tensor(image_tokens)
     if len(mask) != image_tokens.shape[0]:
@@ -139,15 +141,13 @@ def cts_cross_attention(
             f"mask length {len(mask)} != image token count {image_tokens.shape[0]}"
         )
     q = T.matmul(image_tokens, w.base.w_q)
-    d_k = w.base.d_k
-    baseline = _attend(q, pe.total, w.base.w_k, w.base.w_v, d_k)
-    center_out = _attend(q, pe.center, w.center_k, w.center_v, d_k)
-    surround_out = _attend(q, pe.surrounding, w.surround_k, w.surround_v, d_k)
-
-    col = mask.values.reshape(-1, 1)
-    regional = T.add(T.mul(center_out, Tensor(1.0 - col)), T.mul(surround_out, Tensor(col)))
-    one_minus_f = T.sub(1.0, w.fusion)
-    return T.add(T.mul(baseline, one_minus_f), T.mul(regional, w.fusion))
+    baseline = _attend(q, T.matmul(pe.total, w.base.w_k), T.matmul(pe.total, w.base.w_v))
+    k = T.concat([T.matmul(pe.center, w.center_k), T.matmul(pe.surrounding, w.surround_k)])
+    v = T.concat([T.matmul(pe.center, w.center_v), T.matmul(pe.surrounding, w.surround_v)])
+    key_is_surround = np.arange(k.shape[0]) >= pe.center.shape[0]
+    allowed = (mask.values[:, None] == 1.0) == key_is_surround[None, :]
+    regional = _attend(q, k, v, allowed)
+    return T.add(baseline, T.mul(w.fusion, T.sub(regional, baseline)))
 
 
 def init_cts_from_base(

@@ -71,11 +71,6 @@ class DenoiserConfig:
         return self.patch_size * self.patch_size * self.channels
 
 
-def count_cts_sites(cfg: DenoiserConfig) -> int:
-    """Region-routed attention replaces the cross-attention at every block."""
-    return cfg.n_blocks
-
-
 @dataclass
 class BlockParams:
     ln1_g: Tensor
@@ -152,27 +147,6 @@ class DenoiserParams:
 
     def fusion_values(self) -> list[float]:
         return [blk.cross.fusion.item() for blk in self.blocks]
-
-
-def n_params(cfg: DenoiserConfig, vocab_size: int) -> int:
-    d, dt = cfg.d_model, cfg.d_text
-    per_block = (
-        4 * d  # ln1, ln2 gains/biases
-        + 3 * d * d  # self-attention q, k, v
-        + d * d + 2 * dt * d  # cross base q + k, v
-        + 4 * dt * d  # center/surround k, v copies
-        + 1  # fusion scalar
-        + 2 * d  # ln3
-        + d * 4 * d + 4 * d + 4 * d * d + d  # feed-forward
-    )
-    return (
-        vocab_size * dt
-        + cfg.patch_dim * d + d  # patch projection
-        + d * 4 * d + 4 * d + 4 * d * d + d  # time mlp
-        + cfg.n_blocks * per_block
-        + 2 * d  # output norm
-        + d * cfg.out_patch_dim + cfg.out_patch_dim
-    )
 
 
 def _normal(rng: np.random.Generator, shape, std: float = 0.02, trainable: bool = True) -> Tensor:

@@ -91,11 +91,6 @@ def render(p: CsPrompt) -> str:
     return f"Center:{','.join(p.center)}; Surrounding:{','.join(p.surrounding)}"
 
 
-def split(p: CsPrompt) -> tuple[str, str]:
-    """The two independently tokenizable halves of the prompt."""
-    return f"Center:{','.join(p.center)}", f"Surrounding:{','.join(p.surrounding)}"
-
-
 class Vocab:
     """Bidirectional keyword <-> token id map.
 

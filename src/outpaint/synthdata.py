@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -210,23 +210,9 @@ def split_conditional(samples: Sequence[SynthSample], uncond_fraction: float, se
     k = int(round(uncond_fraction * n))
     chosen = set(np.random.default_rng(seed).permutation(n)[:k].tolist())
     return [
-        replace_caption(s, CsPrompt()) if i in chosen else s
+        replace(s, caption=CsPrompt()) if i in chosen else s
         for i, s in enumerate(samples)
     ]
-
-
-def replace_caption(sample: SynthSample, caption: CsPrompt) -> SynthSample:
-    return SynthSample(image=sample.image, pixel_mask=sample.pixel_mask, caption=caption)
-
-
-def filter_samples(
-    samples: Iterable[SynthSample], predicate: Callable[[SynthSample], bool] | None = None
-) -> list[SynthSample]:
-    """Hook for dropping noisy samples; the constructive generator never
-    produces any, so the default predicate keeps everything."""
-    if predicate is None:
-        return list(samples)
-    return [s for s in samples if predicate(s)]
 
 
 def build_dataset(

@@ -15,6 +15,7 @@ rebuilt on every forward pass.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import struct
@@ -454,10 +455,13 @@ def write_array(fh: BinaryIO, arr: np.ndarray) -> None:
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise EOFError(f"expected {n} bytes, got {len(buf)}")
-    return buf
+    """Read exactly n bytes; a length beyond the end of ``fh`` is never allocated."""
+    pos = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - pos
+    fh.seek(pos)
+    if n > left:
+        raise EOFError(f"expected {n} bytes, only {left} left")
+    return fh.read(n)
 
 
 def read_array(fh: BinaryIO) -> np.ndarray:

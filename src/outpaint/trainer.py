@@ -41,49 +41,33 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(DN.DenoiserConfig):
+    """Training hyperparameters on top of the model geometry they train."""
+
     iterations: int = 3000
     batch_size: int = 4
     learning_rate: float = 1e-3
     seed: int = 0
     uncond_fraction: float = 0.1
     a_mode: str = "learnable"  # learnable | random | constant:<value>
-    t_steps: int = 200
     beta_start: float = 1e-4
     beta_end: float = 0.05
     infer_steps: int = 50
-    image_size: int = 16
     center_size: int = 8
-    channels: int = 3
-    patch_size: int = 2
-    d_model: int = 64
-    n_blocks: int = 4
-    d_text: int = 32
-    l_center: int = 8
-    l_surround: int = 8
     checkpoint_every: int = 1000
     grad_clip: float = 1.0
 
     def __post_init__(self):
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for name in ("iterations", "batch_size", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
         parse_fusion_mode(self.a_mode)
-
-    def denoiser_config(self) -> DN.DenoiserConfig:
-        return DN.DenoiserConfig(
-            image_size=self.image_size,
-            channels=self.channels,
-            patch_size=self.patch_size,
-            d_model=self.d_model,
-            n_blocks=self.n_blocks,
-            d_text=self.d_text,
-            l_center=self.l_center,
-            l_surround=self.l_surround,
-            t_steps=self.t_steps,
-        )
 
     def schedule(self) -> D.NoiseSchedule:
         return D.linear_schedule(self.t_steps, self.beta_start, self.beta_end)
@@ -218,9 +202,7 @@ def init_model(cfg: TrainConfig, vocab: Vocab) -> DN.DenoiserParams:
     """Seeded model init; the fusion mode comes from the config."""
     mode, constant = parse_fusion_mode(cfg.a_mode)
     rng = np.random.default_rng(cfg.seed)
-    return DN.init_denoiser_params(
-        cfg.denoiser_config(), vocab, rng, fusion_mode=mode, fusion_constant=constant
-    )
+    return DN.init_denoiser_params(cfg, vocab, rng, fusion_mode=mode, fusion_constant=constant)
 
 
 def step_rng(seed: int, step: int) -> np.random.Generator:
@@ -311,13 +293,10 @@ def _config_header(cfg: TrainConfig) -> bytes:
 
 
 def _parse_header(blob: bytes) -> TrainConfig:
-    mapping = {}
-    for line in blob.decode("utf-8").splitlines():
-        key, value = line.split("=", 1)
-        mapping[key] = value.strip("'\"")
     try:
-        return config_from_mapping(mapping)
-    except ConfigError as exc:
+        mapping = dict(line.split("=", 1) for line in blob.decode("utf-8").splitlines())
+        return config_from_mapping({k: v.strip("'\"") for k, v in mapping.items()})
+    except ValueError as exc:  # not UTF-8, a line without '=', or a bad config
         raise CorruptCheckpoint(f"bad config header: {exc}") from None
 
 
@@ -363,8 +342,8 @@ def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams
                 blobs[name] = T.read_array(fh)
             if fh.read(1):
                 raise CorruptCheckpoint(f"{path}: trailing bytes")
-    except EOFError as exc:
-        raise CorruptCheckpoint(f"{path}: truncated ({exc})") from None
+    except (EOFError, UnicodeDecodeError) as exc:
+        raise CorruptCheckpoint(f"{path}: truncated or garbled ({exc})") from None
 
     params = init_model(cfg, vocab)
     for name, tensor in params.named_parameters():
@@ -376,14 +355,15 @@ def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams
         tensor.data = arr
 
     opt = Adam(params.trainable_parameters(), lr=cfg.learning_rate)
-    if "opt.t" not in blobs:
-        raise CorruptCheckpoint(f"{path}: missing optimizer step counter")
-    opt.t = int(blobs.pop("opt.t").reshape(()))
+    step = blobs.pop("opt.t", None)
+    if step is None or step.shape != () or not (step >= 0 and float(step).is_integer()):
+        raise CorruptCheckpoint(f"{path}: missing or bad optimizer step counter")
+    opt.t = int(step)
     for name, _ in params.trainable_parameters():
         for prefix, store in (("opt.m.", opt.m), ("opt.v.", opt.v)):
             key = prefix + name
-            if key not in blobs:
-                raise CorruptCheckpoint(f"{path}: missing {key}")
+            if key not in blobs or blobs[key].shape != store[name].shape:
+                raise CorruptCheckpoint(f"{path}: missing or misshapen {key}")
             store[name] = blobs.pop(key)
     if blobs:
         raise CorruptCheckpoint(f"{path}: unexpected tensors {sorted(blobs)}")

@@ -141,6 +141,23 @@ def test_gated_outputs_partition_token_rows():
             np.testing.assert_allclose(out[i], surround_only[i], atol=1e-12)
 
 
+def test_keys_outside_a_token_region_do_not_reach_it():
+    g = rng(16)
+    f_img, pe, mask, w = random_cts_case(g, n_img=8)
+    mask[:2] = [0.0, 1.0]  # both regions present
+    w.fusion = Tensor(1.0)
+    rm = A.RegionMask(mask)
+    before = A.cts_cross_attention(Tensor(f_img), pe, rm, w).data
+    for attr, region in (("center_v", 0.0), ("surround_v", 1.0)):
+        old = getattr(w, attr)
+        setattr(w, attr, Tensor(g.uniform(-1, 1, old.shape)))
+        after = A.cts_cross_attention(Tensor(f_img), pe, rm, w).data
+        setattr(w, attr, old)
+        inside = mask == region
+        np.testing.assert_array_equal(after[~inside], before[~inside])
+        assert np.abs(after[inside] - before[inside]).max(axis=1).min() > 1e-9
+
+
 def test_init_copies_base_weights():
     g = rng(7)
     base = make_weights(g)

@@ -1,5 +1,8 @@
 import filecmp
 import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +154,39 @@ def test_sample_corrupt_checkpoint_exit_code(tmp_path):
     bad.write_bytes(b"garbage")
     code = run(["sample", "--ckpt", str(bad), "--out", str(tmp_path / "x.ppm")])
     assert code == cli.EXIT_CHECKPOINT
+
+
+def _ckpt(header: bytes, records: bytes = b"") -> bytes:
+    return TR._MAGIC + struct.pack("<I", len(header)) + header + records
+
+
+_GOOD_HEADER = TR._config_header(TR.TrainConfig())
+_ONE_RECORD = struct.pack("<I", 1)
+
+HOSTILE_CHECKPOINTS = {
+    "huge_tensor_dims": _ckpt(
+        _GOOD_HEADER,
+        _ONE_RECORD + struct.pack("<I", 1) + b"x" + struct.pack("<5I", 4, *(2**31,) * 4),
+    ),
+    "header_line_without_equals": _ckpt(b"iterations\n"),
+    "non_utf8_header": _ckpt(b"seed=\xff\xfe\n"),
+    "non_utf8_tensor_name": _ckpt(_GOOD_HEADER, _ONE_RECORD + struct.pack("<I", 2) + b"\xff\xfe"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CHECKPOINTS))
+def test_hostile_checkpoint_exits_4_without_traceback(tmp_path, name):
+    ckpt = tmp_path / "hostile.ckpt"
+    ckpt.write_bytes(HOSTILE_CHECKPOINTS[name])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "outpaint.cli", "sample", "--ckpt", str(ckpt),
+         "--out", str(tmp_path / "x.ppm")],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == cli.EXIT_CHECKPOINT, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_eval_runs_and_is_deterministic(tmp_path, toy_run):

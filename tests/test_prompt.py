@@ -66,18 +66,6 @@ def test_parse_render_round_trip_random():
         assert P.parse(P.render(p)) == p
 
 
-def test_split_halves():
-    p = P.CsPrompt(("cat",), ("grass",))
-    assert P.split(p) == ("Center:cat", "Surrounding:grass")
-    assert P.split(P.CsPrompt()) == ("Center:", "Surrounding:")
-
-
-def test_split_halves_reparse_to_original():
-    p = P.CsPrompt(("desert", "airplane", "sand"), ("sky", "runway", "mountain"))
-    c, s = P.split(p)
-    assert P.parse(c + "; " + s) == p
-
-
 def test_prompt_rejects_bad_keywords():
     with pytest.raises(P.MalformedPrompt):
         P.CsPrompt(("Bad",), ())

@@ -154,12 +154,6 @@ def test_split_conditional_exact_count_large():
     assert sum(s.caption.is_unconditional for s in out) == 200
 
 
-def test_filter_hook_default_keeps_everything():
-    samples, _ = SD.build_dataset(10, seed=3)
-    assert SD.filter_samples(samples) == samples
-    assert SD.filter_samples(samples, lambda s: False) == []
-
-
 def test_build_dataset_deterministic_and_distinct():
     a, seeds_a = SD.build_dataset(20, seed=5)
     b, seeds_b = SD.build_dataset(20, seed=5)

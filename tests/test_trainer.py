@@ -1,5 +1,6 @@
 import io
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +130,13 @@ def test_config_overrides_win(tmp_path):
     assert cfg.iterations == 5
 
 
+def test_invalid_model_geometry_rejected_at_construction():
+    with pytest.raises(TR.ConfigError):
+        TR.TrainConfig(d_model=6)  # 2-d sinusoidal positions need d_model % 4 == 0
+    with pytest.raises(TR.ConfigError):
+        TR.config_from_mapping({"image_size": "15"})
+
+
 def test_parse_fusion_mode():
     assert TR.parse_fusion_mode("learnable") == ("learnable", None)
     assert TR.parse_fusion_mode("random") == ("random", None)
@@ -213,6 +221,39 @@ def test_checkpoint_save_load_save_identical_bytes(tmp_path):
     assert loaded_opt.t == opt.t
     TR.save_checkpoint(loaded_params, loaded_opt, loaded_cfg, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Header key order written by checkpoints from before TrainConfig extended
+# DenoiserConfig: training fields first, model fields interleaved.
+OLD_HEADER_ORDER = (
+    "iterations", "batch_size", "learning_rate", "seed", "uncond_fraction", "a_mode",
+    "t_steps", "beta_start", "beta_end", "infer_steps", "image_size", "center_size",
+    "channels", "patch_size", "d_model", "n_blocks", "d_text", "l_center", "l_surround",
+    "checkpoint_every", "grad_clip",
+)
+
+
+def test_checkpoint_with_old_header_order_loads(tmp_path):
+    params, opt, _ = TR.run_training(TOY, toy_samples(), VOCAB)
+    path = tmp_path / "new.ckpt"
+    TR.save_checkpoint(params, opt, TOY, path)
+    raw = path.read_bytes()
+    start = len(TR._MAGIC) + 4
+    (hlen,) = struct.unpack("<I", raw[len(TR._MAGIC):start])
+    lines = raw[start:start + hlen].decode("utf-8").splitlines(keepends=True)
+    by_key = {line.split("=", 1)[0]: line for line in lines}
+    assert sorted(by_key) == sorted(OLD_HEADER_ORDER)
+    header = "".join(by_key[k] for k in OLD_HEADER_ORDER).encode("utf-8")
+    assert header != raw[start:start + hlen]
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(TR._MAGIC + struct.pack("<I", len(header)) + header + raw[start + hlen:])
+
+    loaded, loaded_opt, cfg = TR.load_checkpoint(old, VOCAB)
+    assert cfg == TOY
+    assert loaded_opt.t == opt.t
+    for (name, want), (got_name, got) in zip(params.named_parameters(), loaded.named_parameters()):
+        assert got_name == name
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_split_run_equals_straight_run(tmp_path):
