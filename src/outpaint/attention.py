@@ -19,6 +19,11 @@ blended with the baseline through a scalar fusion weight:
 where M[i, j] is 0 if key j lies in token i's region and -inf otherwise.
 At fusion = 0 the module is exactly the baseline, which is why the extra
 branches are initialized as copies of the baseline key/value weights.
+
+Everything but Q depends only on the prompt and the mask, so it is split
+off: ``route_text`` projects the keys and values and builds M once per
+prompt and mask, and ``routed_attention`` runs the attention for any
+image stream over that result. ``cts_cross_attention`` is the two in turn.
 """
 
 from __future__ import annotations
@@ -110,11 +115,27 @@ class RegionMask:
         return self.values.shape[0]
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v; keys where ``allowed`` is False get no weight."""
+@dataclass
+class RoutedText:
+    """One site's prompt keys and values, fixed for a given prompt and mask.
+
+    ``k``/``v`` are the total stream's; the regional fields are the
+    concatenated [center; surround] stream's and ``bias`` is M, one row per
+    image token. The regional fields are None for the unrouted baseline.
+    """
+
+    k: Tensor
+    v: Tensor
+    k_regional: Tensor | None = None
+    v_regional: Tensor | None = None
+    bias: Tensor | None = None
+
+
+def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d_k) + bias) v."""
     logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    if allowed is not None:
-        logits = T.add(logits, Tensor(np.where(allowed, 0.0, -np.inf)))
+    if bias is not None:
+        logits = T.add(logits, bias)
     return T.matmul(T.softmax_rows(logits), v)
 
 
@@ -126,28 +147,46 @@ def cross_attention(image_tokens, text_tokens, w: CrossAttnWeights) -> Tensor:
     return _attend(q, T.matmul(text_tokens, w.w_k), T.matmul(text_tokens, w.w_v))
 
 
+def route_text(pe: PromptEmbedding, mask: RegionMask | None, w: CtsAttnWeights) -> RoutedText:
+    """Project the prompt streams and build the routing bias for ``mask``.
+
+    ``mask=None`` projects the total stream only, for the baseline twin.
+    """
+    k = T.matmul(pe.total, w.base.w_k)
+    v = T.matmul(pe.total, w.base.w_v)
+    if mask is None:
+        return RoutedText(k, v)
+    k_regional = T.concat([T.matmul(pe.center, w.center_k), T.matmul(pe.surrounding, w.surround_k)])
+    v_regional = T.concat([T.matmul(pe.center, w.center_v), T.matmul(pe.surrounding, w.surround_v)])
+    key_is_surround = np.arange(k_regional.shape[0]) >= pe.center.shape[0]
+    allowed = (mask.values[:, None] == 1.0) == key_is_surround[None, :]
+    return RoutedText(k, v, k_regional, v_regional, Tensor(np.where(allowed, 0.0, -np.inf)))
+
+
+def routed_attention(image_tokens, text: RoutedText, w: CtsAttnWeights) -> Tensor:
+    """Attend image tokens over routed prompt keys (see module docstring).
+
+    The query projection is computed once from the image stream and shared
+    by the baseline and the regional attention.
+    """
+    image_tokens = T.as_tensor(image_tokens)
+    if text.bias is not None and text.bias.shape[0] != image_tokens.shape[0]:
+        raise ShapeMismatch(
+            f"mask length {text.bias.shape[0]} != image token count {image_tokens.shape[0]}"
+        )
+    q = T.matmul(image_tokens, w.base.w_q)
+    baseline = _attend(q, text.k, text.v)
+    if text.bias is None:
+        return baseline
+    regional = _attend(q, text.k_regional, text.v_regional, text.bias)
+    return T.add(baseline, T.mul(w.fusion, T.sub(regional, baseline)))
+
+
 def cts_cross_attention(
     image_tokens, pe: PromptEmbedding, mask: RegionMask, w: CtsAttnWeights
 ) -> Tensor:
-    """Region-routed cross-attention (see module docstring).
-
-    The query projection is computed once from the image stream and shared
-    by the baseline and the regional attention; only keys and values are
-    branch-specific.
-    """
-    image_tokens = T.as_tensor(image_tokens)
-    if len(mask) != image_tokens.shape[0]:
-        raise ShapeMismatch(
-            f"mask length {len(mask)} != image token count {image_tokens.shape[0]}"
-        )
-    q = T.matmul(image_tokens, w.base.w_q)
-    baseline = _attend(q, T.matmul(pe.total, w.base.w_k), T.matmul(pe.total, w.base.w_v))
-    k = T.concat([T.matmul(pe.center, w.center_k), T.matmul(pe.surrounding, w.surround_k)])
-    v = T.concat([T.matmul(pe.center, w.center_v), T.matmul(pe.surrounding, w.surround_v)])
-    key_is_surround = np.arange(k.shape[0]) >= pe.center.shape[0]
-    allowed = (mask.values[:, None] == 1.0) == key_is_surround[None, :]
-    regional = _attend(q, k, v, allowed)
-    return T.add(baseline, T.mul(w.fusion, T.sub(regional, baseline)))
+    """Region-routed cross-attention (see module docstring)."""
+    return routed_attention(image_tokens, route_text(pe, mask, w), w)
 
 
 def init_cts_from_base(

@@ -11,10 +11,16 @@ to patches of predicted noise.
 Every cross-attention site carries the center/total/surrounding weights;
 with the fusion scalar at 0 the whole network is functionally identical to
 a twin that uses plain cross-attention everywhere.
+
+``forward`` is three parts, so that a sampler pays for the constant ones
+once per image: ``condition`` (validation, known patches, per-block prompt
+keys/values and routing), ``time_embedding`` (the timestep MLP over many
+timesteps at once) and ``denoise`` (the transformer over one noisy image).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from outpaint import attention as A
 from outpaint import tensor as T
-from outpaint.attention import CrossAttnWeights, CtsAttnWeights, resize_mask
+from outpaint.attention import CrossAttnWeights, CtsAttnWeights, RoutedText, resize_mask
 from outpaint.prompt import PromptEmbedding, Vocab
 from outpaint.tensor import ShapeMismatch, Tensor
 
@@ -142,6 +148,31 @@ class DenoiserParams:
         ]
         return named
 
+    @staticmethod
+    def expected_shapes(cfg: DenoiserConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
+        """``named_parameters`` names and shapes for ``cfg``, without allocating them."""
+        d, dt, out = cfg.d_model, cfg.d_text, cfg.out_patch_dim
+        block = [
+            ("ln1_g", (d,)), ("ln1_b", (d,)),
+            ("self.w_q", (d, d)), ("self.w_k", (d, d)), ("self.w_v", (d, d)),
+            ("ln2_g", (d,)), ("ln2_b", (d,)),
+            ("cross.base.w_q", (d, d)), ("cross.base.w_k", (dt, d)), ("cross.base.w_v", (dt, d)),
+            ("cross.center.w_k", (dt, d)), ("cross.center.w_v", (dt, d)),
+            ("cross.surround.w_k", (dt, d)), ("cross.surround.w_v", (dt, d)),
+            ("cross.fusion", ()),
+            ("ln3_g", (d,)), ("ln3_b", (d,)),
+            ("ff_w1", (d, 4 * d)), ("ff_b1", (4 * d,)), ("ff_w2", (4 * d, d)), ("ff_b2", (d,)),
+        ]
+        return [
+            ("text_table", (vocab_size, dt)),
+            ("patch_w", (cfg.patch_dim, d)), ("patch_b", (d,)),
+            ("time_w1", (d, 4 * d)), ("time_b1", (4 * d,)),
+            ("time_w2", (4 * d, d)), ("time_b2", (d,)),
+            *((f"block{i}.{name}", shape) for i in range(cfg.n_blocks) for name, shape in block),
+            ("out_ln_g", (d,)), ("out_ln_b", (d,)),
+            ("out_w", (d, out)), ("out_b", (out,)),
+        ]
+
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self.named_parameters() if t.requires_grad]
 
@@ -224,8 +255,9 @@ def sinusoidal_embedding(pos: float, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)])
 
 
+@functools.lru_cache(maxsize=8)
 def position_grid(cfg: DenoiserConfig) -> np.ndarray:
-    """Fixed 2-d sinusoidal positions, one row per patch token."""
+    """Fixed 2-d sinusoidal positions, one row per patch token (read-only, cached)."""
     quarter = cfg.d_model // 4
     freqs = np.exp(-math.log(10000.0) * np.arange(quarter) / max(quarter - 1, 1))
     coords = np.arange(cfg.grid)
@@ -233,7 +265,9 @@ def position_grid(cfg: DenoiserConfig) -> np.ndarray:
     one_d = np.concatenate([np.sin(table), np.cos(table)], axis=1)  # (grid, d/2)
     rows = np.repeat(one_d, cfg.grid, axis=0)
     cols = np.tile(one_d, (cfg.grid, 1))
-    return np.concatenate([rows, cols], axis=1)  # (n_tokens, d)
+    grid = np.concatenate([rows, cols], axis=1)  # (n_tokens, d)
+    grid.flags.writeable = False
+    return grid
 
 
 def patchify(img: np.ndarray, patch_size: int) -> np.ndarray:
@@ -264,6 +298,78 @@ def _feed_forward(x: Tensor, blk: BlockParams) -> Tensor:
     return T.add(T.matmul(h, blk.ff_w2), blk.ff_b2)
 
 
+@dataclass
+class Conditioning:
+    """What stays fixed while one image is denoised."""
+
+    known: np.ndarray  # (n_tokens, patch^2 * (channels + 1)): masked image and mask patches
+    text: list[RoutedText]  # one per block
+
+
+def condition(
+    params: DenoiserParams,
+    masked_img: np.ndarray,
+    pixel_mask: np.ndarray,
+    pe: PromptEmbedding,
+    use_region_attention: bool = True,
+) -> Conditioning:
+    """Validate the known input and route the prompt at every block.
+
+    ``use_region_attention=False`` conditions the baseline twin: plain
+    cross-attention over the total prompt stream at every site.
+    """
+    cfg = params.cfg
+    masked_img = np.asarray(masked_img, dtype=np.float64)
+    pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
+    img_shape = (cfg.channels, cfg.image_size, cfg.image_size)
+    if masked_img.shape != img_shape:
+        raise ShapeMismatch(f"expected image shape {img_shape}, got {masked_img.shape}")
+    if pixel_mask.shape != img_shape[1:]:
+        raise ShapeMismatch(f"expected mask shape {img_shape[1:]}, got {pixel_mask.shape}")
+    if not np.all((pixel_mask == 0.0) | (pixel_mask == 1.0)):
+        raise A.MaskNotBinary("pixel mask entries must be exactly 0 or 1")
+    token_mask = resize_mask(pixel_mask, (cfg.grid, cfg.grid)) if use_region_attention else None
+    known = patchify(np.concatenate([masked_img, pixel_mask[None]], axis=0), cfg.patch_size)
+    return Conditioning(known, [A.route_text(pe, token_mask, blk.cross) for blk in params.blocks])
+
+
+def time_embedding(params: DenoiserParams, ts) -> Tensor:
+    """Timestep MLP over ``ts`` in one pass; row i embeds ts[i]."""
+    cfg = params.cfg
+    for t in ts:
+        if not 0 <= t <= cfg.t_steps:
+            raise ValueError(f"t={t} outside [0, {cfg.t_steps}]")
+    rows = Tensor(np.stack([sinusoidal_embedding(float(t), cfg.d_model) for t in ts]))
+    h = T.gelu(T.add(T.matmul(rows, params.time_w1), params.time_b1))
+    return T.add(T.matmul(h, params.time_w2), params.time_b2)
+
+
+def denoise(params: DenoiserParams, x_t: np.ndarray, temb: Tensor, cond: Conditioning) -> Tensor:
+    """Predict the noise in ``x_t`` given one timestep-embedding row and ``cond``."""
+    cfg = params.cfg
+    x_t = np.asarray(x_t, dtype=np.float64)
+    img_shape = (cfg.channels, cfg.image_size, cfg.image_size)
+    if x_t.shape != img_shape:
+        raise ShapeMismatch(f"expected image shape {img_shape}, got {x_t.shape}")
+
+    patches = np.concatenate([patchify(x_t, cfg.patch_size), cond.known], axis=1)
+    x = T.add(T.matmul(Tensor(patches), params.patch_w), params.patch_b)
+    x = T.add(x, Tensor(position_grid(cfg)))
+    x = T.add(x, temb)
+
+    for blk, text in zip(params.blocks, cond.text):
+        h = _layer_norm(x, blk.ln1_g, blk.ln1_b)
+        x = T.add(x, A.cross_attention(h, h, blk.self_attn))
+        h = _layer_norm(x, blk.ln2_g, blk.ln2_b)
+        x = T.add(x, A.routed_attention(h, text, blk.cross))
+        h = _layer_norm(x, blk.ln3_g, blk.ln3_b)
+        x = T.add(x, _feed_forward(h, blk))
+
+    x = _layer_norm(x, params.out_ln_g, params.out_ln_b)
+    out = T.add(T.matmul(x, params.out_w), params.out_b)
+    return _unpatchify(out, cfg)
+
+
 def forward(
     params: DenoiserParams,
     x_t: np.ndarray,
@@ -275,45 +381,7 @@ def forward(
 ) -> Tensor:
     """Predict the noise in ``x_t``; output shape equals the input image.
 
-    ``use_region_attention=False`` runs the baseline twin: plain
-    cross-attention over the total prompt stream at every site.
+    ``use_region_attention=False`` runs the baseline twin (see ``condition``).
     """
-    cfg = params.cfg
-    x_t = np.asarray(x_t, dtype=np.float64)
-    masked_img = np.asarray(masked_img, dtype=np.float64)
-    pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
-    img_shape = (cfg.channels, cfg.image_size, cfg.image_size)
-    if x_t.shape != img_shape or masked_img.shape != img_shape:
-        raise ShapeMismatch(f"expected image shape {img_shape}, got {x_t.shape} / {masked_img.shape}")
-    if pixel_mask.shape != img_shape[1:]:
-        raise ShapeMismatch(f"expected mask shape {img_shape[1:]}, got {pixel_mask.shape}")
-    if not np.all((pixel_mask == 0.0) | (pixel_mask == 1.0)):
-        raise A.MaskNotBinary("pixel mask entries must be exactly 0 or 1")
-    if not 0 <= t <= cfg.t_steps:
-        raise ValueError(f"t={t} outside [0, {cfg.t_steps}]")
-
-    stacked = np.concatenate([x_t, masked_img, pixel_mask[None]], axis=0)
-    patches = patchify(stacked, cfg.patch_size)
-    token_mask = resize_mask(pixel_mask, (cfg.grid, cfg.grid))
-
-    x = T.add(T.matmul(Tensor(patches), params.patch_w), params.patch_b)
-    x = T.add(x, Tensor(position_grid(cfg)))
-    temb = Tensor(sinusoidal_embedding(float(t), cfg.d_model).reshape(1, -1))
-    temb = T.gelu(T.add(T.matmul(temb, params.time_w1), params.time_b1))
-    temb = T.add(T.matmul(temb, params.time_w2), params.time_b2)
-    x = T.add(x, temb)
-
-    for blk in params.blocks:
-        h = _layer_norm(x, blk.ln1_g, blk.ln1_b)
-        x = T.add(x, A.cross_attention(h, h, blk.self_attn))
-        h = _layer_norm(x, blk.ln2_g, blk.ln2_b)
-        if use_region_attention:
-            x = T.add(x, A.cts_cross_attention(h, pe, token_mask, blk.cross))
-        else:
-            x = T.add(x, A.cross_attention(h, pe.total, blk.cross.base))
-        h = _layer_norm(x, blk.ln3_g, blk.ln3_b)
-        x = T.add(x, _feed_forward(h, blk))
-
-    x = _layer_norm(x, params.out_ln_g, params.out_ln_b)
-    out = T.add(T.matmul(x, params.out_w), params.out_b)
-    return _unpatchify(out, cfg)
+    cond = condition(params, masked_img, pixel_mask, pe, use_region_attention)
+    return denoise(params, x_t, time_embedding(params, [t]), cond)

@@ -7,7 +7,7 @@ import numpy as np
 from outpaint import denoiser as DN
 from outpaint import diffusion as D
 from outpaint.prompt import PromptEmbedding
-from outpaint.tensor import no_grad
+from outpaint.tensor import no_grad, slice_axis
 
 
 def ddim_sample(
@@ -22,7 +22,8 @@ def ddim_sample(
     """Run the deterministic sampler from pure noise down to a clean image.
 
     The known center content enters through the masked image channel of
-    the denoiser input at every step; only the start noise is random.
+    the denoiser input at every step; only the start noise is random. The
+    input is conditioned and every timestep embedded once, before the steps.
     """
     cfg = params.cfg
     if cfg.t_steps != schedule.t_steps:
@@ -32,7 +33,9 @@ def ddim_sample(
     x = rng.standard_normal((cfg.channels, cfg.image_size, cfg.image_size))
     taus = D.ddim_timesteps(schedule.t_steps, n_steps)
     with no_grad():
+        cond = DN.condition(params, masked_img, pixel_mask, pe)
+        temb = DN.time_embedding(params, taus[:-1])
         for i in range(len(taus) - 1):
-            eps = DN.forward(params, x, masked_img, pixel_mask, int(taus[i]), pe).data
+            eps = DN.denoise(params, x, slice_axis(temb, 0, i, i + 1), cond).data
             x = D.ddim_step(x, int(taus[i]), int(taus[i + 1]), eps, schedule)
     return x

@@ -321,8 +321,16 @@ def save_checkpoint(params: DN.DenoiserParams, opt: Adam, cfg: TrainConfig, path
         buf.write(struct.pack("<I", len(raw)))
         buf.write(raw)
         T.write_array(buf, arr)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    # a failed write leaves any previous checkpoint at ``path`` whole
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams, Adam, TrainConfig]:
@@ -345,14 +353,15 @@ def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams
     except (EOFError, UnicodeDecodeError) as exc:
         raise CorruptCheckpoint(f"{path}: truncated or garbled ({exc})") from None
 
-    params = init_model(cfg, vocab)
-    for name, tensor in params.named_parameters():
+    # checked before anything is built, so header sizes never allocate more than the file holds
+    for name, shape in DN.DenoiserParams.expected_shapes(cfg, vocab.size):
         if name not in blobs:
             raise CorruptCheckpoint(f"{path}: missing tensor {name}")
-        arr = blobs.pop(name)
-        if arr.shape != tensor.data.shape:
-            raise CorruptCheckpoint(f"{path}: {name} has shape {arr.shape}, expected {tensor.data.shape}")
-        tensor.data = arr
+        if blobs[name].shape != shape:
+            raise CorruptCheckpoint(f"{path}: {name} has shape {blobs[name].shape}, expected {shape}")
+    params = init_model(cfg, vocab)
+    for name, tensor in params.named_parameters():
+        tensor.data = blobs.pop(name)
 
     opt = Adam(params.trainable_parameters(), lr=cfg.learning_rate)
     step = blobs.pop("opt.t", None)

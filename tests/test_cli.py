@@ -1,5 +1,6 @@
 import filecmp
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -171,7 +172,16 @@ HOSTILE_CHECKPOINTS = {
     "header_line_without_equals": _ckpt(b"iterations\n"),
     "non_utf8_header": _ckpt(b"seed=\xff\xfe\n"),
     "non_utf8_tensor_name": _ckpt(_GOOD_HEADER, _ONE_RECORD + struct.pack("<I", 2) + b"\xff\xfe"),
+    # a model of about 300 GiB declared by a header alone
+    "huge_model_header": _ckpt(TR._config_header(TR.TrainConfig(d_model=100000)), struct.pack("<I", 0)),
 }
+# Address-space cap for the child: far above a healthy run, far below any
+# allocation from header sizes, so a regression fails fast instead of paging.
+_CHILD_ADDRESS_SPACE = 2 * 1024**3
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_CHECKPOINTS))
@@ -179,11 +189,11 @@ def test_hostile_checkpoint_exits_4_without_traceback(tmp_path, name):
     ckpt = tmp_path / "hostile.ckpt"
     ckpt.write_bytes(HOSTILE_CHECKPOINTS[name])
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     done = subprocess.run(
         [sys.executable, "-m", "outpaint.cli", "sample", "--ckpt", str(ckpt),
          "--out", str(tmp_path / "x.ppm")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
     )
     assert done.returncode == cli.EXIT_CHECKPOINT, done.stderr
     assert "Traceback" not in done.stderr

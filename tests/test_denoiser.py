@@ -78,6 +78,16 @@ def test_parameter_count_is_pure_function_of_config():
     assert len(names) == len(set(names))
 
 
+@pytest.mark.parametrize("cfg", [
+    DN.DenoiserConfig(image_size=8, channels=1, patch_size=2, d_model=16, n_blocks=1),
+    DN.DenoiserConfig(image_size=12, channels=3, patch_size=3, d_model=20, n_blocks=3, d_text=12),
+])
+def test_expected_shapes_match_an_initialized_model(cfg):
+    params = DN.init_denoiser_params(cfg, VOCAB, rng(6))
+    built = [(n, t.shape) for n, t in params.named_parameters()]
+    assert DN.DenoiserParams.expected_shapes(cfg, VOCAB.size) == built
+
+
 def test_end_to_end_gradients_match_finite_differences():
     cfg = DN.DenoiserConfig(image_size=8, channels=1, patch_size=2, d_model=16, n_blocks=1)
     params = DN.init_denoiser_params(cfg, VOCAB, rng(7))
@@ -145,6 +155,33 @@ def test_forward_validates_inputs():
         DN.forward(params, x_t, masked, bad, 3, pe)
     with pytest.raises(ValueError):
         DN.forward(params, x_t, masked, mask, cfg.t_steps + 1, pe)
+
+
+@pytest.mark.parametrize("routed", [True, False])
+def test_forward_is_condition_then_denoise(routed):
+    cfg = DN.DenoiserConfig(image_size=8, channels=3, patch_size=2, d_model=16, n_blocks=2)
+    params = DN.init_denoiser_params(cfg, VOCAB, rng(14))
+    for blk in params.blocks:
+        blk.cross.fusion = Tensor(0.7, requires_grad=True)
+    x_t, masked, _, prompt = make_inputs(cfg, rng(15))
+    mask = (rng(16).random((8, 8)) < 0.5).astype(float)
+    pe = embed(params, prompt)
+    whole = DN.forward(params, x_t, masked, mask, 9, pe, use_region_attention=routed).data
+    cond = DN.condition(params, masked, mask, pe, use_region_attention=routed)
+    parts = DN.denoise(params, x_t, DN.time_embedding(params, [9]), cond).data
+    np.testing.assert_array_equal(whole, parts)
+
+
+def test_time_embedding_rows_and_range():
+    cfg = DN.DenoiserConfig(image_size=8, channels=1, patch_size=2, d_model=16, n_blocks=1, t_steps=50)
+    params = DN.init_denoiser_params(cfg, VOCAB, rng(17))
+    rows = DN.time_embedding(params, [50, 25, 0]).data
+    assert rows.shape == (3, 16)
+    for i, t in enumerate((50, 25, 0)):
+        np.testing.assert_allclose(rows[i], DN.time_embedding(params, [t]).data[0], atol=1e-12)
+    for t in (-1, cfg.t_steps + 1):
+        with pytest.raises(ValueError):
+            DN.time_embedding(params, [0, t])
 
 
 def test_patchify_unpatchify_inverse():

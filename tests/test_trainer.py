@@ -289,6 +289,48 @@ def test_truncated_checkpoint_raises(tmp_path):
         TR.load_checkpoint(garbage, VOCAB)
 
 
+class DiskFull(OSError):
+    pass
+
+
+def _half_write_then_fail(real_open):
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        real_write = fh.write
+
+        def write(data):
+            real_write(data[: len(data) // 2])
+            raise DiskFull("no space left on device")
+
+        fh.write = write
+        return fh
+    return fake_open
+
+
+def _replace_fails(*args):
+    raise DiskFull("rename refused")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch, failure):
+    params, opt, _ = TR.run_training(TOY, toy_samples(), VOCAB)
+    path = tmp_path / "model.ckpt"
+    TR.save_checkpoint(params, opt, TOY, path)
+    before = path.read_bytes()
+    params.out_b.data = params.out_b.data + 1.0
+    if failure == "write":
+        monkeypatch.setattr(TR, "open", _half_write_then_fail(open), raising=False)
+    else:
+        monkeypatch.setattr(TR.os, "replace", _replace_fails)
+    with pytest.raises(DiskFull):
+        TR.save_checkpoint(params, opt, TOY, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
 def test_run_training_writes_periodic_checkpoints(tmp_path):
     samples = toy_samples()
     TR.run_training(TOY, samples, VOCAB, out_dir=tmp_path)
