@@ -29,7 +29,7 @@ image stream over that result. ``cts_cross_attention`` is the two in turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class IndivisibleGrid(ValueError):
 FUSION_RANDOM = "random"
 FUSION_CONSTANT = "constant"
 FUSION_LEARNABLE = "learnable"
-FUSION_MODES = (FUSION_RANDOM, FUSION_CONSTANT, FUSION_LEARNABLE)
 
 
 @dataclass
@@ -71,30 +70,17 @@ class CrossAttnWeights:
 class CtsAttnWeights:
     """Baseline weights plus the center/surrounding key-value branches.
 
-    ``fusion`` is the scalar blend weight; whether it trains depends on
-    ``fusion_mode`` (random / constant: frozen, learnable: trainable).
+    ``fusion`` is the scalar blend weight (see ``fusion_scalar`` for which
+    modes train it). The branch fields carry their checkpoint names in
+    ``metadata``.
     """
 
     base: CrossAttnWeights
-    center_k: Tensor
-    center_v: Tensor
-    surround_k: Tensor
-    surround_v: Tensor
+    center_k: Tensor = field(metadata={"name": "center.w_k"})
+    center_v: Tensor = field(metadata={"name": "center.w_v"})
+    surround_k: Tensor = field(metadata={"name": "surround.w_k"})
+    surround_v: Tensor = field(metadata={"name": "surround.w_v"})
     fusion: Tensor
-    fusion_mode: str = FUSION_LEARNABLE
-
-    def named_tensors(self):
-        """Stable (name, tensor) ordering used by checkpoints."""
-        return [
-            ("base.w_q", self.base.w_q),
-            ("base.w_k", self.base.w_k),
-            ("base.w_v", self.base.w_v),
-            ("center.w_k", self.center_k),
-            ("center.w_v", self.center_v),
-            ("surround.w_k", self.surround_k),
-            ("surround.w_v", self.surround_v),
-            ("fusion", self.fusion),
-        ]
 
 
 @dataclass
@@ -189,39 +175,39 @@ def cts_cross_attention(
     return routed_attention(image_tokens, route_text(pe, mask, w), w)
 
 
+def fusion_scalar(value, fusion_mode: str) -> Tensor:
+    """Only learnable fusion trains; random and constant fusion stay frozen."""
+    return Tensor(value, requires_grad=fusion_mode == FUSION_LEARNABLE)
+
+
+def init_fusion(fusion_mode: str = FUSION_LEARNABLE, constant: float | None = None, rng=None) -> Tensor:
+    """Starting fusion weight: learnable starts at 0 (the wrapped module then
+    reproduces the baseline exactly), constant pins ``constant`` and random
+    draws uniform(0,1) from ``rng``."""
+    if fusion_mode == FUSION_LEARNABLE:
+        return fusion_scalar(0.0, fusion_mode)
+    if fusion_mode == FUSION_CONSTANT and constant is not None:
+        return fusion_scalar(float(constant), fusion_mode)
+    if fusion_mode == FUSION_RANDOM and rng is not None:
+        return fusion_scalar(rng.uniform(0.0, 1.0), fusion_mode)
+    raise ValueError(f"bad fusion mode {fusion_mode!r} (constant needs a value, random an rng)")
+
+
 def init_cts_from_base(
     base: CrossAttnWeights,
     fusion_mode: str = FUSION_LEARNABLE,
     constant: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> CtsAttnWeights:
-    """Wrap baseline weights, deep-copying key/value into both region branches.
-
-    Fusion initialization per mode: random draws uniform(0,1) from ``rng``
-    and stays frozen; constant pins the given value and stays frozen;
-    learnable starts at 0 (the wrapped module then reproduces the baseline
-    exactly) and trains.
-    """
-    if fusion_mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {fusion_mode!r}")
-    if fusion_mode == FUSION_RANDOM:
-        if rng is None:
-            raise ValueError("random fusion mode needs an rng")
-        fusion = Tensor(rng.uniform(0.0, 1.0))
-    elif fusion_mode == FUSION_CONSTANT:
-        if constant is None:
-            raise ValueError("constant fusion mode needs a value")
-        fusion = Tensor(float(constant))
-    else:
-        fusion = Tensor(0.0, requires_grad=True)
+    """Wrap baseline weights, deep-copying key/value into both region
+    branches; the fusion weight comes from ``init_fusion``."""
     return CtsAttnWeights(
         base=base,
         center_k=base.w_k.copy(),
         center_v=base.w_v.copy(),
         surround_k=base.w_k.copy(),
         surround_v=base.w_v.copy(),
-        fusion=fusion,
-        fusion_mode=fusion_mode,
+        fusion=init_fusion(fusion_mode, constant, rng),
     )
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: data generation, training, sampling, evaluation,
 and the fusion-mode ablation.
 
-Exit codes: 0 ok, 2 usage/config error, 3 data error, 4 checkpoint error.
+Exit codes: 0 ok, 2 usage/config error, 3 data error (also a non-finite
+training step), 4 checkpoint error.
 Every command is bit-reproducible given the same flags, seeds and inputs.
 """
 
@@ -127,7 +128,9 @@ def cmd_train(args) -> int:
     samples = _load_samples(args.data, cfg)
     vocab = SD.vocabulary()
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "train_log.tsv"), "w", encoding="utf-8") as log_fh:
+    log_path = os.path.join(args.out, "train_log.tsv")
+    # no numpy overflow warnings: a non-finite step raises NonFiniteTraining, reported once below
+    with open(log_path, "w", encoding="utf-8") as log_fh, np.errstate(over="ignore", invalid="ignore"):
         params, opt, losses = TR.run_training(cfg, samples, vocab, out_dir=args.out, log_fh=log_fh)
     TR.save_checkpoint(params, opt, cfg, os.path.join(args.out, "model.ckpt"))
     print(f"trained {cfg.iterations} steps; final loss {losses[-1]:.6f}; run dir {args.out}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -61,10 +61,6 @@ class DenoiserConfig:
         return self.image_size // self.patch_size
 
     @property
-    def n_tokens(self) -> int:
-        return self.grid * self.grid
-
-    @property
     def in_channels(self) -> int:
         return 2 * self.channels + 1
 
@@ -81,7 +77,7 @@ class DenoiserConfig:
 class BlockParams:
     ln1_g: Tensor
     ln1_b: Tensor
-    self_attn: CrossAttnWeights
+    self_attn: CrossAttnWeights = field(metadata={"name": "self"})
     ln2_g: Tensor
     ln2_b: Tensor
     cross: CtsAttnWeights
@@ -95,6 +91,9 @@ class BlockParams:
 
 @dataclass
 class DenoiserParams:
+    """All weights. A parameter's checkpoint name is its field path, with
+    ``metadata["name"]`` standing in for the field name where present."""
+
     cfg: DenoiserConfig
     text_table: Tensor
     patch_w: Tensor
@@ -103,75 +102,15 @@ class DenoiserParams:
     time_b1: Tensor
     time_w2: Tensor
     time_b2: Tensor
-    blocks: list[BlockParams] = field(default_factory=list)
-    out_ln_g: Tensor = None
-    out_ln_b: Tensor = None
-    out_w: Tensor = None
-    out_b: Tensor = None
+    blocks: list[BlockParams] = field(metadata={"name": "block"})
+    out_ln_g: Tensor
+    out_ln_b: Tensor
+    out_w: Tensor
+    out_b: Tensor
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """All parameter tensors in stable declaration order."""
-        named = [
-            ("text_table", self.text_table),
-            ("patch_w", self.patch_w),
-            ("patch_b", self.patch_b),
-            ("time_w1", self.time_w1),
-            ("time_b1", self.time_b1),
-            ("time_w2", self.time_w2),
-            ("time_b2", self.time_b2),
-        ]
-        for i, blk in enumerate(self.blocks):
-            pre = f"block{i}."
-            named += [
-                (pre + "ln1_g", blk.ln1_g),
-                (pre + "ln1_b", blk.ln1_b),
-                (pre + "self.w_q", blk.self_attn.w_q),
-                (pre + "self.w_k", blk.self_attn.w_k),
-                (pre + "self.w_v", blk.self_attn.w_v),
-                (pre + "ln2_g", blk.ln2_g),
-                (pre + "ln2_b", blk.ln2_b),
-            ]
-            named += [(pre + "cross." + n, t) for n, t in blk.cross.named_tensors()]
-            named += [
-                (pre + "ln3_g", blk.ln3_g),
-                (pre + "ln3_b", blk.ln3_b),
-                (pre + "ff_w1", blk.ff_w1),
-                (pre + "ff_b1", blk.ff_b1),
-                (pre + "ff_w2", blk.ff_w2),
-                (pre + "ff_b2", blk.ff_b2),
-            ]
-        named += [
-            ("out_ln_g", self.out_ln_g),
-            ("out_ln_b", self.out_ln_b),
-            ("out_w", self.out_w),
-            ("out_b", self.out_b),
-        ]
-        return named
-
-    @staticmethod
-    def expected_shapes(cfg: DenoiserConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
-        """``named_parameters`` names and shapes for ``cfg``, without allocating them."""
-        d, dt, out = cfg.d_model, cfg.d_text, cfg.out_patch_dim
-        block = [
-            ("ln1_g", (d,)), ("ln1_b", (d,)),
-            ("self.w_q", (d, d)), ("self.w_k", (d, d)), ("self.w_v", (d, d)),
-            ("ln2_g", (d,)), ("ln2_b", (d,)),
-            ("cross.base.w_q", (d, d)), ("cross.base.w_k", (dt, d)), ("cross.base.w_v", (dt, d)),
-            ("cross.center.w_k", (dt, d)), ("cross.center.w_v", (dt, d)),
-            ("cross.surround.w_k", (dt, d)), ("cross.surround.w_v", (dt, d)),
-            ("cross.fusion", ()),
-            ("ln3_g", (d,)), ("ln3_b", (d,)),
-            ("ff_w1", (d, 4 * d)), ("ff_b1", (4 * d,)), ("ff_w2", (4 * d, d)), ("ff_b2", (d,)),
-        ]
-        return [
-            ("text_table", (vocab_size, dt)),
-            ("patch_w", (cfg.patch_dim, d)), ("patch_b", (d,)),
-            ("time_w1", (d, 4 * d)), ("time_b1", (4 * d,)),
-            ("time_w2", (4 * d, d)), ("time_b2", (d,)),
-            *((f"block{i}.{name}", shape) for i in range(cfg.n_blocks) for name, shape in block),
-            ("out_ln_g", (d,)), ("out_ln_b", (d,)),
-            ("out_w", (d, out)), ("out_b", (out,)),
-        ]
+        """All parameter tensors in field order, which is checkpoint order."""
+        return list(_named_tensors(self, ""))
 
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self.named_parameters() if t.requires_grad]
@@ -180,16 +119,71 @@ class DenoiserParams:
         return [blk.cross.fusion.item() for blk in self.blocks]
 
 
-def _normal(rng: np.random.Generator, shape, std: float = 0.02, trainable: bool = True) -> Tensor:
-    return Tensor(rng.normal(0.0, std, shape), requires_grad=trainable)
+def _named_tensors(node, prefix: str):
+    for f in fields(node):
+        name = prefix + f.metadata.get("name", f.name)
+        value = getattr(node, f.name)
+        if isinstance(value, Tensor):
+            yield name, value
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _named_tensors(item, f"{name}{i}.")
+        elif is_dataclass(value):
+            yield from _named_tensors(value, name + ".")
 
 
-def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+def assemble(cfg: DenoiserConfig, vocab_size: int, make) -> DenoiserParams:
+    """The parameter layout: ``make(name, shape, init)`` builds every tensor,
+    once each, in ``named_parameters`` order.
 
+    ``init`` is "normal" (N(0, 0.02^2)), "zeros", "ones", "fusion" (see
+    ``attention.init_fusion``) or, for a region branch, the base weight
+    tensor it starts as a copy of.
+    """
+    d, dt = cfg.d_model, cfg.d_text
 
-def _ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
+    def dense(w, b, n_in, n_out):
+        return make(w, (n_in, n_out), "normal"), make(b, (n_out,), "zeros")
+
+    def norm(g, b):
+        return make(g, (d,), "ones"), make(b, (d,), "zeros")
+
+    def attn(pre, d_in):
+        q = make(pre + "w_q", (d, d), "normal")
+        return CrossAttnWeights(q, make(pre + "w_k", (d_in, d), "normal"), make(pre + "w_v", (d_in, d), "normal"))
+
+    def cts(pre):
+        base = attn(pre + "base.", dt)
+        return CtsAttnWeights(
+            base,
+            make(pre + "center.w_k", (dt, d), base.w_k),
+            make(pre + "center.w_v", (dt, d), base.w_v),
+            make(pre + "surround.w_k", (dt, d), base.w_k),
+            make(pre + "surround.w_v", (dt, d), base.w_v),
+            make(pre + "fusion", (), "fusion"),
+        )
+
+    def block(pre):
+        return BlockParams(
+            *norm(pre + "ln1_g", pre + "ln1_b"),
+            attn(pre + "self.", d),
+            *norm(pre + "ln2_g", pre + "ln2_b"),
+            cts(pre + "cross."),
+            *norm(pre + "ln3_g", pre + "ln3_b"),
+            *dense(pre + "ff_w1", pre + "ff_b1", d, 4 * d),
+            *dense(pre + "ff_w2", pre + "ff_b2", 4 * d, d),
+        )
+
+    return DenoiserParams(
+        cfg,
+        make("text_table", (vocab_size, dt), "normal"),
+        *dense("patch_w", "patch_b", cfg.patch_dim, d),
+        *dense("time_w1", "time_b1", d, 4 * d),
+        *dense("time_w2", "time_b2", 4 * d, d),
+        [block(f"block{i}.") for i in range(cfg.n_blocks)],
+        *norm("out_ln_g", "out_ln_b"),
+        *dense("out_w", "out_b", d, cfg.out_patch_dim),
+    )
 
 
 def init_denoiser_params(
@@ -199,51 +193,22 @@ def init_denoiser_params(
     fusion_mode: str = A.FUSION_LEARNABLE,
     fusion_constant: float | None = None,
 ) -> DenoiserParams:
-    """Seeded initialization.
+    """Seeded initialization: normal weights are drawn in parameter order and
+    fusion scalars last, so that runs differing only in fusion mode share
+    bitwise identical base parameters."""
 
-    All shared weights are drawn first in a fixed order; fusion scalars are
-    drawn last so that runs differing only in fusion mode share bitwise
-    identical base parameters.
-    """
-    d, dt = cfg.d_model, cfg.d_text
-    params = DenoiserParams(
-        cfg=cfg,
-        text_table=_normal(rng, (vocab.size, dt)),
-        patch_w=_normal(rng, (cfg.patch_dim, d)),
-        patch_b=_zeros(d),
-        time_w1=_normal(rng, (d, 4 * d)),
-        time_b1=_zeros(4 * d),
-        time_w2=_normal(rng, (4 * d, d)),
-        time_b2=_zeros(d),
-    )
-    bases = []
-    for _ in range(cfg.n_blocks):
-        self_attn = CrossAttnWeights(
-            w_q=_normal(rng, (d, d)), w_k=_normal(rng, (d, d)), w_v=_normal(rng, (d, d))
-        )
-        base = CrossAttnWeights(
-            w_q=_normal(rng, (d, d)), w_k=_normal(rng, (dt, d)), w_v=_normal(rng, (dt, d))
-        )
-        blk = BlockParams(
-            ln1_g=_ones(d), ln1_b=_zeros(d),
-            self_attn=self_attn,
-            ln2_g=_ones(d), ln2_b=_zeros(d),
-            cross=None,
-            ln3_g=_ones(d), ln3_b=_zeros(d),
-            ff_w1=_normal(rng, (d, 4 * d)), ff_b1=_zeros(4 * d),
-            ff_w2=_normal(rng, (4 * d, d)), ff_b2=_zeros(d),
-        )
-        bases.append(base)
-        params.blocks.append(blk)
-    params.out_ln_g = _ones(d)
-    params.out_ln_b = _zeros(d)
-    params.out_w = _normal(rng, (d, cfg.out_patch_dim))
-    params.out_b = _zeros(cfg.out_patch_dim)
-    for blk, base in zip(params.blocks, bases):
-        blk.cross = A.init_cts_from_base(base, fusion_mode, constant=fusion_constant, rng=rng)
-        # the branch copies train like everything else
-        for t in (blk.cross.center_k, blk.cross.center_v, blk.cross.surround_k, blk.cross.surround_v):
-            t.requires_grad = True
+    def make(name, shape, init):
+        if isinstance(init, Tensor):
+            return init.copy(requires_grad=True)
+        if init == "fusion":
+            return None  # set below, after every other draw
+        if init == "normal":
+            return Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
+        return Tensor(np.ones(shape) if init == "ones" else np.zeros(shape), requires_grad=True)
+
+    params = assemble(cfg, vocab.size, make)
+    for blk in params.blocks:
+        blk.cross.fusion = A.init_fusion(fusion_mode, fusion_constant, rng)
     return params
 
 

@@ -33,8 +33,13 @@ FINE_THRESHOLD = 0.75  # flip fraction above this means the fine cell size
 
 @dataclass
 class EvalReport:
+    """Region accuracies need every listed attribute right; the texture and
+    color accuracies score one surrounding attribute each."""
+
     region_accuracy_center: float
     region_accuracy_surrounding: float
+    texture_accuracy_surrounding: float
+    color_accuracy_surrounding: float
     center_mse: float
     n_samples: int
 
@@ -215,7 +220,7 @@ def evaluate(
         os.makedirs(out_dir, exist_ok=True)
 
     center_hits = center_total = 0
-    surround_hits = surround_total = 0
+    surround_hits = surround_total = texture_hits = color_hits = 0
     mse_sum = 0.0
     for i in range(n):
         sample = samples[i]
@@ -242,14 +247,19 @@ def evaluate(
                 center_hits += 1
         if cond.surrounding:
             surround_total += 1
-            if det_surround[0] in cond.surrounding and det_surround[1] in cond.surrounding:
-                surround_hits += 1
+            texture_ok = det_surround[0] in cond.surrounding
+            color_ok = det_surround[1] in cond.surrounding
+            texture_hits += texture_ok
+            color_hits += color_ok
+            surround_hits += texture_ok and color_ok
         if out_dir is not None:
             ppm.write_ppm(os.path.join(out_dir, f"gen_{i:05d}.ppm"), gen)
 
     report = EvalReport(
         region_accuracy_center=center_hits / center_total if center_total else 0.0,
         region_accuracy_surrounding=surround_hits / surround_total if surround_total else 0.0,
+        texture_accuracy_surrounding=texture_hits / surround_total if surround_total else 0.0,
+        color_accuracy_surrounding=color_hits / surround_total if surround_total else 0.0,
         center_mse=mse_sum / n if n else 0.0,
         n_samples=n,
     )

@@ -84,9 +84,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def copy(self, requires_grad: bool | None = None) -> "Tensor":
         rg = self.requires_grad if requires_grad is None else requires_grad
         return Tensor(self.data.copy(), requires_grad=rg)

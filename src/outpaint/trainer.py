@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass, fields, replace
@@ -38,6 +39,10 @@ class CorruptCheckpoint(ValueError):
 
 class ConfigError(ValueError):
     """Config file contains unknown keys or unparsable values."""
+
+
+class NonFiniteTraining(ValueError):
+    """A training step produced a non-finite loss or gradient norm."""
 
 
 @dataclass(frozen=True)
@@ -85,28 +90,20 @@ def parse_fusion_mode(a_mode: str) -> tuple[str, float | None]:
     raise ConfigError(f"unknown a_mode {a_mode!r}")
 
 
-_INT_FIELDS = {f.name for f in fields(TrainConfig) if f.type == "int"}
-_FLOAT_FIELDS = {f.name for f in fields(TrainConfig) if f.type == "float"}
+_PARSERS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(TrainConfig)}
 
 
 def config_from_mapping(mapping: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
     """Build a config from string key/values; unknown keys are errors."""
-    base = base or TrainConfig()
-    known = {f.name for f in fields(TrainConfig)}
     parsed = {}
     for key, raw in mapping.items():
-        if key not in known:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key in _INT_FIELDS:
-                parsed[key] = int(raw)
-            elif key in _FLOAT_FIELDS:
-                parsed[key] = float(raw)
-            else:
-                parsed[key] = raw
+            parsed[key] = _PARSERS[key](raw)
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    return replace(base, **parsed)
+    return replace(base or TrainConfig(), **parsed)
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -219,7 +216,9 @@ def train_step(
     vocab: Vocab,
     grad_clip: float = 1.0,
 ) -> float:
-    """One optimization step over a batch; returns the pre-update loss."""
+    """One optimization step over a batch; returns the pre-update loss. A
+    non-finite loss or pre-clip gradient norm raises ``NonFiniteTraining``
+    before the update."""
     if not batch:
         raise ValueError("empty batch")
     cfg = params.cfg
@@ -243,7 +242,9 @@ def train_step(
 
     opt.zero_grad()
     backward(total)
-    clip_gradients(opt.named_params, grad_clip)
+    grad_norm = clip_gradients(opt.named_params, grad_clip)
+    if not (math.isfinite(loss_value) and math.isfinite(grad_norm)):
+        raise NonFiniteTraining(f"step {opt.t + 1}: loss {loss_value}, gradient norm {grad_norm}")
     opt.step()
     return loss_value
 
@@ -353,27 +354,28 @@ def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams
     except (EOFError, UnicodeDecodeError) as exc:
         raise CorruptCheckpoint(f"{path}: truncated or garbled ({exc})") from None
 
-    # checked before anything is built, so header sizes never allocate more than the file holds
-    for name, shape in DN.DenoiserParams.expected_shapes(cfg, vocab.size):
-        if name not in blobs:
-            raise CorruptCheckpoint(f"{path}: missing tensor {name}")
-        if blobs[name].shape != shape:
-            raise CorruptCheckpoint(f"{path}: {name} has shape {blobs[name].shape}, expected {shape}")
-    params = init_model(cfg, vocab)
-    for name, tensor in params.named_parameters():
-        tensor.data = blobs.pop(name)
+    fusion_mode, _ = parse_fusion_mode(cfg.a_mode)
 
-    opt = Adam(params.trainable_parameters(), lr=cfg.learning_rate)
+    def take(name, shape):
+        # the file's own arrays, checked, so header sizes never allocate more than the file holds
+        blob = blobs.pop(name, None)
+        if blob is None or blob.shape != shape:
+            found = "missing" if blob is None else f"of shape {blob.shape}"
+            raise CorruptCheckpoint(f"{path}: tensor {name} is {found}, expected shape {shape}")
+        return blob
+
+    def make(name, shape, init):
+        blob = take(name, shape)
+        return A.fusion_scalar(blob, fusion_mode) if init == "fusion" else Tensor(blob, requires_grad=True)
+
+    params = DN.assemble(cfg, vocab.size, make)
     step = blobs.pop("opt.t", None)
     if step is None or step.shape != () or not (step >= 0 and float(step).is_integer()):
         raise CorruptCheckpoint(f"{path}: missing or bad optimizer step counter")
+    opt = Adam(params.trainable_parameters(), lr=cfg.learning_rate)
     opt.t = int(step)
-    for name, _ in params.trainable_parameters():
-        for prefix, store in (("opt.m.", opt.m), ("opt.v.", opt.v)):
-            key = prefix + name
-            if key not in blobs or blobs[key].shape != store[name].shape:
-                raise CorruptCheckpoint(f"{path}: missing or misshapen {key}")
-            store[name] = blobs.pop(key)
+    for name, p in opt.named_params:
+        opt.m[name], opt.v[name] = take("opt.m." + name, p.shape), take("opt.v." + name, p.shape)
     if blobs:
         raise CorruptCheckpoint(f"{path}: unexpected tensors {sorted(blobs)}")
     return params, opt, cfg

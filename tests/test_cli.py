@@ -105,6 +105,20 @@ def test_train_writes_log_and_checkpoints(toy_run):
     assert os.path.exists(os.path.join(run_dir, "ckpt_000002.bin"))
 
 
+def test_non_finite_training_exits_3_and_keeps_only_finite_checkpoints(tmp_path, toy_run, capsys):
+    data, _ = toy_run
+    run_dir = tmp_path / "nan"
+    flags = TOY_FLAGS + ["--learning-rate", "1e200", "--checkpoint-every", "1"]
+    assert run(["train", "--data", data, "--out", str(run_dir)] + flags) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "NonFiniteTraining: step 2:" in err[0], err
+    ckpts = sorted(n for n in os.listdir(run_dir) if n.endswith((".bin", ".ckpt")))
+    assert ckpts == ["ckpt_000001.bin"]  # step 2 failed before its update
+    for name in ckpts:
+        params, _, _ = TR.load_checkpoint(run_dir / name)
+        assert all(np.isfinite(t.data).all() for _, t in params.named_parameters())
+
+
 def test_train_rejects_unknown_config_key(tmp_path, toy_run):
     data, _ = toy_run
     cfg = tmp_path / "bad.cfg"

@@ -82,10 +82,17 @@ def test_parameter_count_is_pure_function_of_config():
     DN.DenoiserConfig(image_size=8, channels=1, patch_size=2, d_model=16, n_blocks=1),
     DN.DenoiserConfig(image_size=12, channels=3, patch_size=3, d_model=20, n_blocks=3, d_text=12),
 ])
-def test_expected_shapes_match_an_initialized_model(cfg):
-    params = DN.init_denoiser_params(cfg, VOCAB, rng(6))
-    built = [(n, t.shape) for n, t in params.named_parameters()]
-    assert DN.DenoiserParams.expected_shapes(cfg, VOCAB.size) == built
+def test_assemble_makes_parameters_in_named_order(cfg):
+    calls = []
+
+    def make(name, shape, init):
+        calls.append((name, shape))
+        return Tensor(np.zeros(shape))
+
+    params = DN.assemble(cfg, VOCAB.size, make)
+    assert calls == [(n, t.shape) for n, t in params.named_parameters()]
+    initialized = DN.init_denoiser_params(cfg, VOCAB, rng(6))
+    assert calls == [(n, t.shape) for n, t in initialized.named_parameters()]
 
 
 def test_end_to_end_gradients_match_finite_differences():

@@ -181,7 +181,23 @@ def test_evaluate_perfect_generator_upper_bound(monkeypatch):
     report = EV.evaluate(params, cfg.schedule(), samples, 4, VOCAB, spec=spec, seed=6)
     assert report.region_accuracy_center == 1.0
     assert report.region_accuracy_surrounding == 1.0
+    assert report.texture_accuracy_surrounding == report.color_accuracy_surrounding == 1.0
     assert report.center_mse == 0.0
+
+
+def test_evaluate_splits_surrounding_texture_from_color(monkeypatch):
+    # the clean image under color-swapped prompts: every texture matches, no color does
+    cfg, spec, samples, params = small_setup()
+    import outpaint.evaluation as module
+
+    images = iter(s.image for s in samples)
+    monkeypatch.setattr(module, "ddim_sample", lambda *args: next(images))
+    swapped = EV.swap_surrounding_colors([s.caption for s in samples], seed=3, spec=spec)
+    report = EV.evaluate(params, cfg.schedule(), samples, 4, VOCAB, prompt_mode="custom",
+                         custom_prompts=swapped, spec=spec)
+    assert report.texture_accuracy_surrounding == 1.0
+    assert report.color_accuracy_surrounding == 0.0
+    assert report.region_accuracy_surrounding == 0.0
 
 
 def test_evaluate_unconditional_mode_has_empty_denominators():
@@ -190,6 +206,7 @@ def test_evaluate_unconditional_mode_has_empty_denominators():
                          prompt_mode="unconditional", infer_steps=3, seed=7, spec=spec)
     assert report.region_accuracy_center == 0.0
     assert report.region_accuracy_surrounding == 0.0
+    assert report.texture_accuracy_surrounding == report.color_accuracy_surrounding == 0.0
     assert report.n_samples == 2
 
 

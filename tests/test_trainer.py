@@ -1,9 +1,12 @@
+import hashlib
 import io
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from outpaint import denoiser as DN
 from outpaint import synthdata as SD
@@ -177,6 +180,17 @@ def test_zero_learning_rate_freezes_parameters():
     assert losses[0] == losses[1] == losses[2]
 
 
+def test_non_finite_step_raises_before_the_update():
+    params = TR.init_model(TOY, VOCAB)
+    opt = TR.Adam(params.trainable_parameters(), lr=1e-3)
+    params.out_b.data[0] = np.nan
+    before = TR.params_checksum(params)
+    with pytest.raises(TR.NonFiniteTraining, match="step 1"):
+        TR.train_step(toy_samples()[:2], params, opt, TOY.schedule(), TR.step_rng(0, 0), VOCAB)
+    assert opt.t == 0
+    assert TR.params_checksum(params) == before
+
+
 def test_geometry_mismatch_rejected():
     params = TR.init_model(TOY, VOCAB)
     opt = TR.Adam(params.trainable_parameters(), lr=1e-3)
@@ -256,12 +270,44 @@ def test_checkpoint_with_old_header_order_loads(tmp_path):
         np.testing.assert_array_equal(got.data, want.data)
 
 
-def test_split_run_equals_straight_run(tmp_path):
+# sha256 of a freshly initialized TOY checkpoint per fusion mode; a change
+# here means the parameter layout, the init draws or the file format moved.
+FRESH_TOY_CHECKPOINT_SHA256 = {
+    "learnable": "096b25b28866fcbed63a44568fe39fb707e80b6c540475d16bb9ffe2aabe3bba",
+    "random": "df06d6c60a56ac3735bd870ea37b4f4071df4d8da3c3990c64cc2f5ebee0bfde",
+    "constant:0.5": "b5fcce5ac6813b3fca08b64330c842e1fca818e6b2dda500df57ffa0a6999239",
+}
+
+
+def _no_random_model(*args, **kwargs):
+    raise AssertionError("a checkpoint load built a random model")
+
+
+@pytest.mark.parametrize("a_mode", sorted(FRESH_TOY_CHECKPOINT_SHA256))
+def test_fresh_checkpoint_bytes_are_pinned_and_reload_without_a_random_model(tmp_path, monkeypatch, a_mode):
+    cfg = replace(TOY, a_mode=a_mode)
+    params = TR.init_model(cfg, VOCAB)
+    path, again = tmp_path / "fresh.ckpt", tmp_path / "again.ckpt"
+    TR.save_checkpoint(params, TR.Adam(params.trainable_parameters(), lr=cfg.learning_rate), cfg, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FRESH_TOY_CHECKPOINT_SHA256[a_mode]
+
+    monkeypatch.setattr(TR, "init_model", _no_random_model)
+    monkeypatch.setattr(DN, "init_denoiser_params", _no_random_model)
+    loaded, opt, loaded_cfg = TR.load_checkpoint(path, VOCAB)
+    assert [(n, t.requires_grad) for n, t in loaded.named_parameters()] == [
+        (n, t.requires_grad) for n, t in params.named_parameters()
+    ]
+    TR.save_checkpoint(loaded, opt, loaded_cfg, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("a_mode", sorted(FRESH_TOY_CHECKPOINT_SHA256))
+def test_split_run_equals_straight_run(tmp_path, a_mode):
     samples = toy_samples()
-    cfg10 = TR.TrainConfig(**{**TOY.__dict__, "iterations": 10})
+    cfg10 = replace(TOY, iterations=10, a_mode=a_mode)
     straight, _, straight_losses = TR.run_training(cfg10, samples, VOCAB)
 
-    cfg5 = TR.TrainConfig(**{**TOY.__dict__, "iterations": 5})
+    cfg5 = replace(cfg10, iterations=5)
     half, half_opt, first_losses = TR.run_training(cfg5, samples, VOCAB)
     path = tmp_path / "half.ckpt"
     TR.save_checkpoint(half, half_opt, cfg10, path)
@@ -287,6 +333,31 @@ def test_truncated_checkpoint_raises(tmp_path):
     garbage.write_bytes(b"not a checkpoint at all")
     with pytest.raises(TR.CorruptCheckpoint):
         TR.load_checkpoint(garbage, VOCAB)
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    params = TR.init_model(TOY, VOCAB)
+    path = tmp_path_factory.mktemp("ckpt") / "toy.ckpt"
+    TR.save_checkpoint(params, TR.Adam(params.trainable_parameters(), lr=TOY.learning_rate), TOY, path)
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_raises_corrupt(toy_checkpoint, data):
+    raw = bytearray(toy_checkpoint.read_bytes())
+    # half the positions fall in the first KiB: the magic, the header and the first records
+    position = st.integers(0, 1023) | st.integers(0, len(raw) - 1)
+    edits = data.draw(st.lists(st.tuples(position, st.integers(0, 255)), min_size=1, max_size=3))
+    for pos, byte in edits:
+        raw[pos] = byte
+    mutated = toy_checkpoint.with_name("mutated.ckpt")
+    mutated.write_bytes(bytes(raw))
+    try:
+        TR.load_checkpoint(mutated, VOCAB)
+    except TR.CorruptCheckpoint:
+        pass
 
 
 class DiskFull(OSError):
