@@ -17,8 +17,8 @@ blended with the baseline through a scalar fusion weight:
     output   = baseline + fusion * (regional - baseline)
 
 where M[i, j] is 0 if key j lies in token i's region and -inf otherwise.
-At fusion = 0 the module is exactly the baseline, which is why the extra
-branches are initialized as copies of the baseline key/value weights.
+At fusion = 0 the module is exactly the baseline, whatever the branches
+hold; they start as copies of the baseline key/value weights.
 
 Everything but Q depends only on the prompt and the mask, so it is split
 off: ``route_text`` projects the keys and values and builds M once per
@@ -107,14 +107,14 @@ class RoutedText:
 
     ``k``/``v`` are the total stream's; the regional fields are the
     concatenated [center; surround] stream's and ``bias`` is M, one row per
-    image token. The regional fields are None for the unrouted baseline.
+    image token.
     """
 
     k: Tensor
     v: Tensor
-    k_regional: Tensor | None = None
-    v_regional: Tensor | None = None
-    bias: Tensor | None = None
+    k_regional: Tensor
+    v_regional: Tensor
+    bias: Tensor
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -133,15 +133,10 @@ def cross_attention(image_tokens, text_tokens, w: CrossAttnWeights) -> Tensor:
     return _attend(q, T.matmul(text_tokens, w.w_k), T.matmul(text_tokens, w.w_v))
 
 
-def route_text(pe: PromptEmbedding, mask: RegionMask | None, w: CtsAttnWeights) -> RoutedText:
-    """Project the prompt streams and build the routing bias for ``mask``.
-
-    ``mask=None`` projects the total stream only, for the baseline twin.
-    """
+def route_text(pe: PromptEmbedding, mask: RegionMask, w: CtsAttnWeights) -> RoutedText:
+    """Project the prompt streams and build the routing bias for ``mask``."""
     k = T.matmul(pe.total, w.base.w_k)
     v = T.matmul(pe.total, w.base.w_v)
-    if mask is None:
-        return RoutedText(k, v)
     k_regional = T.concat([T.matmul(pe.center, w.center_k), T.matmul(pe.surrounding, w.surround_k)])
     v_regional = T.concat([T.matmul(pe.center, w.center_v), T.matmul(pe.surrounding, w.surround_v)])
     key_is_surround = np.arange(k_regional.shape[0]) >= pe.center.shape[0]
@@ -156,14 +151,12 @@ def routed_attention(image_tokens, text: RoutedText, w: CtsAttnWeights) -> Tenso
     by the baseline and the regional attention.
     """
     image_tokens = T.as_tensor(image_tokens)
-    if text.bias is not None and text.bias.shape[0] != image_tokens.shape[0]:
+    if text.bias.shape[0] != image_tokens.shape[0]:
         raise ShapeMismatch(
             f"mask length {text.bias.shape[0]} != image token count {image_tokens.shape[0]}"
         )
     q = T.matmul(image_tokens, w.base.w_q)
     baseline = _attend(q, text.k, text.v)
-    if text.bias is None:
-        return baseline
     regional = _attend(q, text.k_regional, text.v_regional, text.bias)
     return T.add(baseline, T.mul(w.fusion, T.sub(regional, baseline)))
 

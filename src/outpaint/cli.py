@@ -2,7 +2,7 @@
 and the fusion-mode ablation.
 
 Exit codes: 0 ok, 2 usage/config error, 3 data error (also a non-finite
-training step), 4 checkpoint error.
+training step or generated image), 4 checkpoint error.
 Every command is bit-reproducible given the same flags, seeds and inputs.
 """
 
@@ -18,7 +18,7 @@ from outpaint import evaluation as EV
 from outpaint import ppm
 from outpaint import synthdata as SD
 from outpaint import trainer as TR
-from outpaint.prompt import MalformedPrompt, parse, tokenize_and_embed
+from outpaint.prompt import parse, tokenize_and_embed
 from outpaint.sampling import ddim_sample
 
 EXIT_OK = 0
@@ -26,14 +26,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
 
-DATA_ERRORS = (
-    MalformedPrompt,
-    SD.BadGeometry,
-    ppm.BadImageFile,
-    TR.GeometryMismatch,
-    OSError,
-    ValueError,
-)
+DATA_ERRORS = (OSError, ValueError)  # MalformedPrompt, BadImageFile and the like are ValueErrors
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +110,7 @@ def cmd_gen_data(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     SD.save_dataset(samples, seeds, args.out)
-    SD.vocabulary(spec).to_file(os.path.join(args.out, "vocab.txt"))
+    SD.vocabulary().to_file(os.path.join(args.out, "vocab.txt"))
     n_uncond = sum(s.caption.is_unconditional for s in samples)
     print(f"wrote {len(samples)} samples ({n_uncond} unconditional) to {args.out}")
     return EXIT_OK
@@ -129,8 +122,7 @@ def cmd_train(args) -> int:
     vocab = SD.vocabulary()
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train_log.tsv")
-    # no numpy overflow warnings: a non-finite step raises NonFiniteTraining, reported once below
-    with open(log_path, "w", encoding="utf-8") as log_fh, np.errstate(over="ignore", invalid="ignore"):
+    with open(log_path, "w", encoding="utf-8") as log_fh:
         params, opt, losses = TR.run_training(cfg, samples, vocab, out_dir=args.out, log_fh=log_fh)
     TR.save_checkpoint(params, opt, cfg, os.path.join(args.out, "model.ckpt"))
     print(f"trained {cfg.iterations} steps; final loss {losses[-1]:.6f}; run dir {args.out}")
@@ -228,18 +220,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    command = {"gen-data": cmd_gen_data, "train": cmd_train, "sample": cmd_sample,
+               "eval": cmd_eval, "ablate": cmd_ablate}[args.command]
     try:
-        if args.command == "gen-data":
-            return cmd_gen_data(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "sample":
-            return cmd_sample(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "ablate":
-            return cmd_ablate(args)
-        parser.error(f"unknown command {args.command!r}")
+        # no numpy overflow warnings: a non-finite training step or sampled
+        # image raises NonFiniteTraining or NonFiniteImage, reported once below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return command(args)
     except TR.ConfigError as exc:
         print(f"outpaint: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -249,7 +236,6 @@ def main(argv=None) -> int:
     except DATA_ERRORS as exc:
         print(f"outpaint: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ the patch grid), then a feed-forward. The output head projects tokens back
 to patches of predicted noise.
 
 Every cross-attention site carries the center/total/surrounding weights;
-with the fusion scalar at 0 the whole network is functionally identical to
-a twin that uses plain cross-attention everywhere.
+with the fusion scalar at 0 a site computes exactly plain cross-attention,
+whatever its region-branch weights hold.
 
 ``forward`` is three parts, so that a sampler pays for the constant ones
 once per image: ``condition`` (validation, known patches, per-block prompt
@@ -276,13 +276,8 @@ def condition(
     masked_img: np.ndarray,
     pixel_mask: np.ndarray,
     pe: PromptEmbedding,
-    use_region_attention: bool = True,
 ) -> Conditioning:
-    """Validate the known input and route the prompt at every block.
-
-    ``use_region_attention=False`` conditions the baseline twin: plain
-    cross-attention over the total prompt stream at every site.
-    """
+    """Validate the known input and route the prompt at every block."""
     cfg = params.cfg
     masked_img = np.asarray(masked_img, dtype=np.float64)
     pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
@@ -293,7 +288,7 @@ def condition(
         raise ShapeMismatch(f"expected mask shape {img_shape[1:]}, got {pixel_mask.shape}")
     if not np.all((pixel_mask == 0.0) | (pixel_mask == 1.0)):
         raise A.MaskNotBinary("pixel mask entries must be exactly 0 or 1")
-    token_mask = resize_mask(pixel_mask, (cfg.grid, cfg.grid)) if use_region_attention else None
+    token_mask = resize_mask(pixel_mask, (cfg.grid, cfg.grid))
     known = patchify(np.concatenate([masked_img, pixel_mask[None]], axis=0), cfg.patch_size)
     return Conditioning(known, [A.route_text(pe, token_mask, blk.cross) for blk in params.blocks])
 
@@ -342,11 +337,7 @@ def forward(
     pixel_mask: np.ndarray,
     t: int,
     pe: PromptEmbedding,
-    use_region_attention: bool = True,
 ) -> Tensor:
-    """Predict the noise in ``x_t``; output shape equals the input image.
-
-    ``use_region_attention=False`` runs the baseline twin (see ``condition``).
-    """
-    cond = condition(params, masked_img, pixel_mask, pe, use_region_attention)
+    """Predict the noise in ``x_t``; output shape equals the input image."""
+    cond = condition(params, masked_img, pixel_mask, pe)
     return denoise(params, x_t, time_embedding(params, [t]), cond)

@@ -65,15 +65,15 @@ def copy_center(generated: np.ndarray, original: np.ndarray, pixel_mask: np.ndar
     return out
 
 
-def _nearest_color(rgb: np.ndarray, spec: SD.SynthSpec) -> str:
+def _nearest_color(rgb: np.ndarray) -> str:
     """Nearest vocabulary color after max-normalization; ties resolve in
-    spec order (red < green < blue < yellow < white)."""
+    ``SD.COLORS`` order (red < green < blue < yellow < white)."""
     rgb = np.clip(rgb, 0.0, None)
     peak = rgb.max()
     if peak > 0:
         rgb = rgb / peak
-    best, best_d = spec.colors[0], np.inf
-    for name in spec.colors:
+    best, best_d = SD.COLORS[0], np.inf
+    for name in SD.COLORS:
         d = float(np.sum((rgb - np.array(SD.COLOR_RGB[name])) ** 2))
         if d < best_d - 1e-12:
             best, best_d = name, d
@@ -92,13 +92,13 @@ def _flip_fractions(binary: np.ndarray, region: np.ndarray) -> tuple[float, floa
     return float(vfrac), float(hfrac)
 
 
-def _detect_surrounding(value: np.ndarray, region: np.ndarray, spec: SD.SynthSpec) -> tuple[str, str, str]:
+def _detect_surrounding(value: np.ndarray, region: np.ndarray) -> tuple[str, str, str]:
     if not region.any():
-        return spec.textures[0], spec.colors[0], spec.shades[0]
+        return SD.TEXTURES[0], SD.COLORS[0], SD.SHADES[0]
     peak = value.max(axis=0)
     lit = (peak > LIT_THRESHOLD) & region
     color_src = lit if lit.any() else region
-    color = _nearest_color(value[:, color_src].mean(axis=1), spec)
+    color = _nearest_color(value[:, color_src].mean(axis=1))
 
     scale = peak[region].max()
     binary = peak > 0.5 * scale if scale > 0 else np.zeros_like(peak, dtype=bool)
@@ -124,14 +124,14 @@ def _classify_shape(widths: np.ndarray) -> str:
     return "circle"
 
 
-def _detect_center(value: np.ndarray, region: np.ndarray, spec: SD.SynthSpec) -> tuple[str, str, str]:
+def _detect_center(value: np.ndarray, region: np.ndarray) -> tuple[str, str, str]:
     if not region.any():
-        return spec.shapes[0], spec.colors[0], spec.sizes[0]
+        return SD.SHAPES[0], SD.COLORS[0], SD.SIZES[0]
     peak = value.max(axis=0)
     fg = (peak > FG_THRESHOLD) & region
     if not fg.any():
-        return spec.shapes[0], _nearest_color(value[:, region].mean(axis=1), spec), spec.sizes[-1]
-    color = _nearest_color(value[:, fg].mean(axis=1), spec)
+        return SD.SHAPES[0], _nearest_color(value[:, region].mean(axis=1)), SD.SIZES[-1]
+    color = _nearest_color(value[:, fg].mean(axis=1))
 
     rows = np.where(fg.any(axis=1))[0]
     widths = fg[rows[0]:rows[-1] + 1].sum(axis=1)
@@ -142,15 +142,13 @@ def _detect_center(value: np.ndarray, region: np.ndarray, spec: SD.SynthSpec) ->
     region_h = region_rows[-1] - region_rows[0] + 1
     region_w = region_cols[-1] - region_cols[0] + 1
     cs = int(min(region_h, region_w))
-    areas = [SD.shape_template(shape, size, max(cs, 4)).sum() for size in spec.sizes]
+    areas = [SD.shape_template(shape, size, max(cs, 4)).sum() for size in SD.SIZES]
     diffs = [abs(int(fg.sum()) - a) for a in areas]
-    size_word = spec.sizes[int(np.argmin(diffs))]
+    size_word = SD.SIZES[int(np.argmin(diffs))]
     return shape, color, size_word
 
 
-def detect_keywords(
-    image: np.ndarray, pixel_mask: np.ndarray, spec: SD.SynthSpec = SD.DEFAULT_SPEC
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def detect_keywords(image: np.ndarray, pixel_mask: np.ndarray) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Recover [shape, color, size] and [texture, color, qualifier] words.
 
     Exact on clean generated samples; deterministic best-effort elsewhere.
@@ -160,19 +158,17 @@ def detect_keywords(
     value = np.clip((image + 1.0) / 2.0, 0.0, 1.0)
     surround = pixel_mask == 1.0
     center = ~surround
-    texture, s_color, qualifier = _detect_surrounding(value, surround, spec)
-    shape, c_color, size_word = _detect_center(value, center, spec)
+    texture, s_color, qualifier = _detect_surrounding(value, surround)
+    shape, c_color, size_word = _detect_center(value, center)
     return (shape, c_color, size_word), (texture, s_color, qualifier)
 
 
-def surrounding_chance_rate(spec: SD.SynthSpec = SD.DEFAULT_SPEC) -> float:
+def surrounding_chance_rate() -> float:
     """Probability that a random texture/color guess matches the prompt."""
-    return 1.0 / (len(spec.colors) * len(spec.textures))
+    return 1.0 / (len(SD.COLORS) * len(SD.TEXTURES))
 
 
-def swap_surrounding_colors(
-    prompts, seed: int, spec: SD.SynthSpec = SD.DEFAULT_SPEC
-) -> list[CsPrompt]:
+def swap_surrounding_colors(prompts, seed: int) -> list[CsPrompt]:
     """Replace each prompt's surrounding color keyword with a different,
     seeded color; everything else is preserved."""
     rng = np.random.default_rng(seed)
@@ -180,8 +176,8 @@ def swap_surrounding_colors(
     for p in prompts:
         new_sur = []
         for kw in p.surrounding:
-            if kw in spec.colors:
-                others = [c for c in spec.colors if c != kw]
+            if kw in SD.COLORS:
+                others = [c for c in SD.COLORS if c != kw]
                 kw = others[int(rng.integers(len(others)))]
             new_sur.append(kw)
         out.append(CsPrompt(p.center, tuple(new_sur)))
@@ -200,7 +196,6 @@ def evaluate(
     seed: int = 0,
     copy: bool = False,
     out_dir=None,
-    spec: SD.SynthSpec = SD.DEFAULT_SPEC,
 ) -> EvalReport:
     """Sample the model on n dataset items and score against the prompt.
 
@@ -240,7 +235,7 @@ def evaluate(
             mse_sum += float(((gen - sample.image)[:, keep] ** 2).mean())
         if copy:
             gen = copy_center(gen, sample.image, sample.pixel_mask)
-        det_center, det_surround = detect_keywords(gen, sample.pixel_mask, spec)
+        det_center, det_surround = detect_keywords(gen, sample.pixel_mask)
         if cond.center:
             center_total += 1
             if det_center[0] in cond.center and det_center[1] in cond.center:

@@ -8,6 +8,8 @@ round((p + 1) * 127.5) clamped to [0, 255]. Color images are P6 (maxval
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -57,29 +59,34 @@ def _read_header(fh, magic: bytes):
             raise BadImageFile("truncated header")
         body = line.split(b"#", 1)[0]
         fields.extend(body.split())
-    w, h, maxval = (int(v) for v in fields[:3])
+    try:
+        w, h, maxval = (int(v) for v in fields[:3])
+    except ValueError:
+        raise BadImageFile(f"non-integer header field in {fields[:3]}") from None
+    if w <= 0 or h <= 0:
+        raise BadImageFile(f"image size {w}x{h} is not positive")
     if maxval != 255:
         raise BadImageFile(f"unsupported maxval {maxval}")
     return w, h
 
 
+def _read_raster(path, magic: bytes, channels: int) -> np.ndarray:
+    """(H, W, channels) bytes; a size beyond the end of the file is never allocated."""
+    with open(path, "rb") as fh:
+        w, h = _read_header(fh, magic)
+        n = channels * w * h
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n > left:
+            raise BadImageFile(f"expected {n} pixel bytes, only {left} left")
+        raw = fh.read(n)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
+
+
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 file back to a (3, H, W) float image in [-1, 1]."""
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P6")
-        raw = fh.read(3 * w * h)
-    if len(raw) != 3 * w * h:
-        raise BadImageFile(f"expected {3 * w * h} pixel bytes, got {len(raw)}")
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
-    return byte_to_float(data)
+    return byte_to_float(_read_raster(path, b"P6", 3).transpose(2, 0, 1))
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary P5 mask back to (H, W) floats in {0, 1}."""
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P5")
-        raw = fh.read(w * h)
-    if len(raw) != w * h:
-        raise BadImageFile(f"expected {w * h} mask bytes, got {len(raw)}")
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
-    return (data >= 128).astype(np.float64)
+    return (_read_raster(path, b"P5", 1)[:, :, 0] >= 128).astype(np.float64)

@@ -10,6 +10,10 @@ from outpaint.prompt import PromptEmbedding
 from outpaint.tensor import no_grad, slice_axis
 
 
+class NonFiniteImage(ValueError):
+    """The sampler produced a NaN or infinite pixel."""
+
+
 def ddim_sample(
     params: DN.DenoiserParams,
     schedule: D.NoiseSchedule,
@@ -24,6 +28,7 @@ def ddim_sample(
     The known center content enters through the masked image channel of
     the denoiser input at every step; only the start noise is random. The
     input is conditioned and every timestep embedded once, before the steps.
+    A finished image with a non-finite pixel raises ``NonFiniteImage``.
     """
     cfg = params.cfg
     if cfg.t_steps != schedule.t_steps:
@@ -38,4 +43,7 @@ def ddim_sample(
         for i in range(len(taus) - 1):
             eps = DN.denoise(params, x, slice_axis(temb, 0, i, i + 1), cond).data
             x = D.ddim_step(x, int(taus[i]), int(taus[i + 1]), eps, schedule)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise NonFiniteImage(f"{int(bad.sum())} of {x.size} image values are not finite after {n_steps} steps")
     return x

@@ -39,28 +39,29 @@ BACKGROUND = 0.25  # center-tile background intensity, in [0, 1]
 DARK_SHADE = 0.55  # multiplier for the "dark" solid qualifier
 DENSITY_CELL = {"fine": 1, "coarse": 2}
 
+# The keyword lists; list order is the detectors' tie order and the vocabulary's.
+SHAPES = ("square", "circle", "triangle")
+COLORS = tuple(COLOR_RGB)
+SIZES = ("large", "small")
+TEXTURES = ("solid", "stripes", "checker")
+DENSITIES = tuple(DENSITY_CELL)  # surrounding qualifiers of a patterned texture
+SHADES = ("bright", "dark")  # surrounding qualifiers of a solid texture
+
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Image geometry; the keywords are the module constants above."""
+
     image_size: int = 16
     center_size: int = 8
-    shapes: tuple[str, ...] = ("square", "circle", "triangle")
-    colors: tuple[str, ...] = ("red", "green", "blue", "yellow", "white")
-    textures: tuple[str, ...] = ("solid", "stripes", "checker")
-    sizes: tuple[str, ...] = ("large", "small")
-    densities: tuple[str, ...] = ("fine", "coarse")
-    shades: tuple[str, ...] = ("bright", "dark")
-
-    def words(self) -> tuple[str, ...]:
-        return self.shapes + self.colors + self.sizes + self.textures + self.densities + self.shades
 
 
 DEFAULT_SPEC = SynthSpec()
 
 
-def vocabulary(spec: SynthSpec = DEFAULT_SPEC) -> Vocab:
-    """The closed keyword vocabulary of a spec, in canonical order."""
-    return Vocab(spec.words())
+def vocabulary() -> Vocab:
+    """The closed keyword vocabulary, in canonical order."""
+    return Vocab(SHAPES + COLORS + SIZES + TEXTURES + DENSITIES + SHADES)
 
 
 @dataclass
@@ -174,12 +175,12 @@ def generate(seed: int, spec: SynthSpec = DEFAULT_SPEC) -> SynthSample:
         # would no longer be recoverable from pixels
         raise BadGeometry(f"center_size must be >= 8, got {spec.center_size}")
     rng = np.random.default_rng(seed)
-    shape = spec.shapes[rng.integers(len(spec.shapes))]
-    center_color = spec.colors[rng.integers(len(spec.colors))]
-    size_word = spec.sizes[rng.integers(len(spec.sizes))]
-    texture = spec.textures[rng.integers(len(spec.textures))]
-    surround_color = spec.colors[rng.integers(len(spec.colors))]
-    pool = spec.shades if texture == "solid" else spec.densities
+    shape = SHAPES[rng.integers(len(SHAPES))]
+    center_color = COLORS[rng.integers(len(COLORS))]
+    size_word = SIZES[rng.integers(len(SIZES))]
+    texture = TEXTURES[rng.integers(len(TEXTURES))]
+    surround_color = COLORS[rng.integers(len(COLORS))]
+    pool = SHADES if texture == "solid" else DENSITIES
     qualifier = pool[rng.integers(len(pool))]
 
     img = render_surrounding_field(texture, surround_color, qualifier, spec.image_size)
@@ -221,18 +222,18 @@ def build_dataset(
     spec: SynthSpec = DEFAULT_SPEC,
     uncond_fraction: float = 0.0,
     irregular: bool = False,
-    min_keep_fraction: float | None = None,
 ) -> tuple[list[SynthSample], list[int]]:
-    """Generate n samples with per-sample seeds derived from the base seed."""
+    """Generate n samples with per-sample seeds derived from the base seed.
+
+    Irregular masks keep at least the center square's share of the image.
+    """
     seeds = [
         int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
         for i in range(n)
     ]
     samples = [generate(s, spec) for s in seeds]
     if irregular:
-        keep = min_keep_fraction
-        if keep is None:
-            keep = (spec.center_size / spec.image_size) ** 2
+        keep = (spec.center_size / spec.image_size) ** 2
         samples = [
             SynthSample(
                 image=s.image,

@@ -88,43 +88,8 @@ class Tensor:
         rg = self.requires_grad if requires_grad is None else requires_grad
         return Tensor(self.data.copy(), requires_grad=rg)
 
-    def backward(self) -> None:
-        backward(self)
-
-    # -- operator sugar -------------------------------------------------
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def mean(self) -> "Tensor":
-        return mean_all(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -196,11 +161,6 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
 
     return _record(data, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _record(-a.data, (a,), lambda g: (-g,))
 
 
 def scale(a, s: float) -> Tensor:

@@ -156,12 +156,9 @@ def adam_update(
 class Adam:
     """Adam over named tensors; moments keyed by parameter name."""
 
-    def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, lr: float):
         self.named_params = list(named_params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
@@ -170,7 +167,7 @@ class Adam:
         self.t += 1
         for name, p in self.named_params:
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            adam_update(p.data, grad, self.m[name], self.v[name], self.t, self.lr, self.beta1, self.beta2, self.eps)
+            adam_update(p.data, grad, self.m[name], self.v[name], self.t, self.lr)
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:
@@ -401,17 +398,16 @@ def run_ablation(
     base_cfg: TrainConfig,
     samples: list[SynthSample],
     vocab: Vocab,
-    modes=ABLATION_MODES,
     eval_fn=None,
 ) -> list[dict]:
-    """Train one arm per fusion mode from a shared seed.
+    """Train one arm per ``ABLATION_MODES`` entry from a shared seed.
 
     Because fusion scalars are initialized after every shared parameter,
     all arms start from checksum-identical base weights. Returns one report
     row per arm with initial/final fusion values and optional eval metrics.
     """
     rows = []
-    for mode in modes:
+    for mode in ABLATION_MODES:
         cfg = replace(base_cfg, a_mode=mode)
         params = init_model(cfg, vocab)
         row = {

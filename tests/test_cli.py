@@ -119,6 +119,19 @@ def test_non_finite_training_exits_3_and_keeps_only_finite_checkpoints(tmp_path,
         assert all(np.isfinite(t.data).all() for _, t in params.named_parameters())
 
 
+def test_non_finite_sample_exits_3_and_writes_no_image(tmp_path, toy_run, capsys):
+    data, _ = toy_run
+    run_dir = tmp_path / "nan"
+    flags = TOY_FLAGS + ["--learning-rate", "1e200", "--checkpoint-every", "1"]
+    assert run(["train", "--data", data, "--out", str(run_dir)] + flags) == cli.EXIT_DATA
+    capsys.readouterr()
+    out = tmp_path / "out" / "x.ppm"
+    assert run(["sample", "--ckpt", str(run_dir / "ckpt_000001.bin"), "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "NonFiniteImage" in err[0], err
+    assert not out.exists()
+
+
 def test_train_rejects_unknown_config_key(tmp_path, toy_run):
     data, _ = toy_run
     cfg = tmp_path / "bad.cfg"
@@ -198,19 +211,39 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
 
+def _capped_cli(argv):
+    """Run the CLI in a child process under the address-space cap."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "outpaint.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=_cap_address_space)
+
+
 @pytest.mark.parametrize("name", sorted(HOSTILE_CHECKPOINTS))
 def test_hostile_checkpoint_exits_4_without_traceback(tmp_path, name):
     ckpt = tmp_path / "hostile.ckpt"
     ckpt.write_bytes(HOSTILE_CHECKPOINTS[name])
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run(
-        [sys.executable, "-m", "outpaint.cli", "sample", "--ckpt", str(ckpt),
-         "--out", str(tmp_path / "x.ppm")],
-        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
-    )
+    done = _capped_cli(["sample", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.ppm")])
     assert done.returncode == cli.EXIT_CHECKPOINT, done.stderr
     assert "Traceback" not in done.stderr
+
+
+# header sizes: 10^10 pixels declared by a 33-byte file, and sizes that are not positive integers
+HOSTILE_IMAGE_SIZES = {"huge": b"100000 100000", "non_integer": b"ab 2", "negative": b"-1 -1", "zero": b"0 0"}
+
+
+@pytest.mark.parametrize("flag,magic", [("--image", b"P6"), ("--mask", b"P5")])
+@pytest.mark.parametrize("name", sorted(HOSTILE_IMAGE_SIZES))
+def test_hostile_image_header_exits_3_without_traceback(tmp_path, toy_run, name, flag, magic):
+    _, run_dir = toy_run
+    hostile = tmp_path / "hostile.pnm"
+    hostile.write_bytes(magic + b"\n" + HOSTILE_IMAGE_SIZES[name] + b"\n255\n" + bytes(12))
+    out = tmp_path / "x.ppm"
+    done = _capped_cli(["sample", "--ckpt", os.path.join(run_dir, "model.ckpt"), flag, str(hostile),
+                        "--out", str(out)])
+    assert done.returncode == cli.EXIT_DATA, done.stderr
+    assert "BadImageFile" in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def test_eval_runs_and_is_deterministic(tmp_path, toy_run):

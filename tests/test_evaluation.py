@@ -33,10 +33,9 @@ def small_setup(iterations=2):
         l_center=4,
         l_surround=4,
     )
-    spec = SD.SynthSpec(image_size=12, center_size=8)
-    samples, _ = SD.build_dataset(6, seed=2, spec=spec)
+    samples, _ = SD.build_dataset(6, seed=2, spec=SD.SynthSpec(image_size=12, center_size=8))
     params = TR.init_model(cfg, VOCAB)
-    return cfg, spec, samples, params
+    return cfg, samples, params
 
 
 # -- copy_center ---------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_swap_surrounding_colors():
         assert after.center == before.center
         assert before.surrounding[0] == after.surrounding[0]  # texture kept
         assert before.surrounding[1] != after.surrounding[1]  # color changed
-        assert after.surrounding[1] in SD.DEFAULT_SPEC.colors
+        assert after.surrounding[1] in SD.COLORS
     again = EV.swap_surrounding_colors(prompts, seed=9)
     assert again == swapped
 
@@ -128,12 +127,12 @@ def test_surrounding_chance_rate():
 
 
 def test_evaluate_reports_and_duplicates_are_reproducible(tmp_path):
-    cfg, spec, samples, params = small_setup()
+    cfg, samples, params = small_setup()
     schedule = cfg.schedule()
     rep1 = EV.evaluate(params, schedule, samples, 3, VOCAB, infer_steps=5, seed=4,
-                       out_dir=tmp_path / "a", spec=spec)
+                       out_dir=tmp_path / "a")
     rep2 = EV.evaluate(params, schedule, samples, 3, VOCAB, infer_steps=5, seed=4,
-                       out_dir=tmp_path / "b", spec=spec)
+                       out_dir=tmp_path / "b")
     assert rep1 == rep2
     files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert files_a == ["gen_00000.ppm", "gen_00001.ppm", "gen_00002.ppm", "report.json", "report.txt"]
@@ -145,10 +144,10 @@ def test_evaluate_reports_and_duplicates_are_reproducible(tmp_path):
 
 
 def test_evaluate_center_mse_zero_after_copy():
-    cfg, spec, samples, params = small_setup()
+    cfg, samples, params = small_setup()
     schedule = cfg.schedule()
     report = EV.evaluate(params, schedule, samples, 2, VOCAB, infer_steps=5, seed=5,
-                         copy=True, spec=spec)
+                         copy=True)
     # center_mse is measured before the copy, so it is generally nonzero...
     assert report.center_mse > 0.0
 
@@ -168,7 +167,7 @@ def test_evaluate_center_mse_zero_after_copy():
 def test_evaluate_perfect_generator_upper_bound(monkeypatch):
     # with generation stubbed to return the clean image, dataset-caption
     # accuracy is exactly 1.0 and center_mse is 0.
-    cfg, spec, samples, params = small_setup()
+    cfg, samples, params = small_setup()
     import outpaint.evaluation as module
 
     calls = {"i": -1}
@@ -178,7 +177,7 @@ def test_evaluate_perfect_generator_upper_bound(monkeypatch):
         return samples[calls["i"]].image
 
     monkeypatch.setattr(module, "ddim_sample", perfect)
-    report = EV.evaluate(params, cfg.schedule(), samples, 4, VOCAB, spec=spec, seed=6)
+    report = EV.evaluate(params, cfg.schedule(), samples, 4, VOCAB, seed=6)
     assert report.region_accuracy_center == 1.0
     assert report.region_accuracy_surrounding == 1.0
     assert report.texture_accuracy_surrounding == report.color_accuracy_surrounding == 1.0
@@ -187,23 +186,23 @@ def test_evaluate_perfect_generator_upper_bound(monkeypatch):
 
 def test_evaluate_splits_surrounding_texture_from_color(monkeypatch):
     # the clean image under color-swapped prompts: every texture matches, no color does
-    cfg, spec, samples, params = small_setup()
+    cfg, samples, params = small_setup()
     import outpaint.evaluation as module
 
     images = iter(s.image for s in samples)
     monkeypatch.setattr(module, "ddim_sample", lambda *args: next(images))
-    swapped = EV.swap_surrounding_colors([s.caption for s in samples], seed=3, spec=spec)
+    swapped = EV.swap_surrounding_colors([s.caption for s in samples], seed=3)
     report = EV.evaluate(params, cfg.schedule(), samples, 4, VOCAB, prompt_mode="custom",
-                         custom_prompts=swapped, spec=spec)
+                         custom_prompts=swapped)
     assert report.texture_accuracy_surrounding == 1.0
     assert report.color_accuracy_surrounding == 0.0
     assert report.region_accuracy_surrounding == 0.0
 
 
 def test_evaluate_unconditional_mode_has_empty_denominators():
-    cfg, spec, samples, params = small_setup()
+    cfg, samples, params = small_setup()
     report = EV.evaluate(params, cfg.schedule(), samples, 2, VOCAB,
-                         prompt_mode="unconditional", infer_steps=3, seed=7, spec=spec)
+                         prompt_mode="unconditional", infer_steps=3, seed=7)
     assert report.region_accuracy_center == 0.0
     assert report.region_accuracy_surrounding == 0.0
     assert report.texture_accuracy_surrounding == report.color_accuracy_surrounding == 0.0
@@ -211,9 +210,9 @@ def test_evaluate_unconditional_mode_has_empty_denominators():
 
 
 def test_evaluate_rejects_bad_modes():
-    cfg, spec, samples, params = small_setup()
+    cfg, samples, params = small_setup()
     with pytest.raises(ValueError):
-        EV.evaluate(params, cfg.schedule(), samples, 2, VOCAB, prompt_mode="nope", spec=spec)
+        EV.evaluate(params, cfg.schedule(), samples, 2, VOCAB, prompt_mode="nope")
     with pytest.raises(ValueError):
         EV.evaluate(params, cfg.schedule(), samples, 2, VOCAB, prompt_mode="custom",
-                    custom_prompts=[CsPrompt()], spec=spec)
+                    custom_prompts=[CsPrompt()])

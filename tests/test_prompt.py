@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from outpaint import prompt as P
 from outpaint.tensor import Tensor
@@ -64,6 +65,26 @@ def test_parse_render_round_trip_random():
             tuple(rng.choice(words, size=ns, replace=False)),
         )
         assert P.parse(P.render(p)) == p
+
+
+# arbitrary text, and text around the two markers with keyword lists made
+# of separators, letters and characters whose case mapping is unusual
+_KEYWORDS = st.lists(st.sampled_from([",", ";", ":", " ", "\n", "sky", "Red", "İ", "ß"]) | st.text(max_size=2),
+                     max_size=5).map("".join)
+_PROMPT_TEXT = st.text(max_size=20) | st.builds(
+    lambda head, center, sep, surrounding: f"{head}Center:{center};{sep}Surrounding:{surrounding}",
+    st.sampled_from(["", " ", "x"]), _KEYWORDS, st.sampled_from(["", " ", "\t"]), _KEYWORDS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PROMPT_TEXT)
+def test_parse_returns_a_prompt_or_raises_malformed(text):
+    try:
+        p = P.parse(text)
+    except P.MalformedPrompt:
+        return
+    assert P.parse(P.render(p)) == p
 
 
 def test_prompt_rejects_bad_keywords():

@@ -1,7 +1,9 @@
 import itertools
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from outpaint import ppm
 from outpaint import synthdata as SD
@@ -18,14 +20,13 @@ def test_generate_is_deterministic():
 
 
 def test_generate_caption_structure_and_range():
-    spec = SD.DEFAULT_SPEC
     for seed in range(50):
         s = SD.generate(seed)
         shape, color, size = s.caption.center
         texture, s_color, qual = s.caption.surrounding
-        assert shape in spec.shapes and color in spec.colors and size in spec.sizes
-        assert texture in spec.textures and s_color in spec.colors
-        assert qual in (spec.shades if texture == "solid" else spec.densities)
+        assert shape in SD.SHAPES and color in SD.COLORS and size in SD.SIZES
+        assert texture in SD.TEXTURES and s_color in SD.COLORS
+        assert qual in (SD.SHADES if texture == "solid" else SD.DENSITIES)
         assert s.image.shape == (3, 16, 16)
         assert s.image.min() >= -1.0 and s.image.max() <= 1.0
 
@@ -51,9 +52,9 @@ def test_detector_round_trip_exhaustive_combinations():
     lo = (spec.image_size - spec.center_size) // 2
     hi = lo + spec.center_size
     mask = SD.make_center_mask(spec.image_size, spec.center_size)
-    for shape, c_color, size in itertools.product(spec.shapes, spec.colors, spec.sizes):
-        for texture, s_color in itertools.product(spec.textures, spec.colors):
-            for qual in spec.shades if texture == "solid" else spec.densities:
+    for shape, c_color, size in itertools.product(SD.SHAPES, SD.COLORS, SD.SIZES):
+        for texture, s_color in itertools.product(SD.TEXTURES, SD.COLORS):
+            for qual in SD.SHADES if texture == "solid" else SD.DENSITIES:
                 img = SD.render_surrounding_field(texture, s_color, qual, spec.image_size)
                 img[:, lo:hi, lo:hi] = SD.render_center_tile(shape, c_color, size, spec.center_size)
                 det_c, det_s = detect_keywords(img * 2 - 1, mask)
@@ -94,7 +95,7 @@ def test_generate_large_geometry_round_trip():
     spec = SD.SynthSpec(image_size=192, center_size=128)
     for seed in range(5):
         s = SD.generate(seed, spec)
-        det_c, det_s = detect_keywords(s.image, s.pixel_mask, spec)
+        det_c, det_s = detect_keywords(s.image, s.pixel_mask)
         assert (det_c, det_s) == (s.caption.center, s.caption.surrounding)
         assert s.pixel_mask.mean() == pytest.approx(1 - (128 / 192) ** 2)
 
@@ -199,3 +200,29 @@ def test_pgm_mask_round_trip(tmp_path):
     np.testing.assert_array_equal(ppm.read_pgm(path), mask)
     header = path.read_bytes()[:20]
     assert header.startswith(b"P5\n16 16\n255\n")
+
+
+# arbitrary bytes, and pixel bytes behind a header whose sizes are small,
+# huge, zero, negative or not numbers
+_SIZE = st.sampled_from([b"1", b"2", b"3", b"0", b"-1", b"100000", b"ab"]) | st.just(b"1")
+_IMAGE_BYTES = st.binary(max_size=64) | st.builds(
+    lambda magic, w, sep, h, maxval, pixels: magic + b"\n" + w + sep + h + sep + maxval + b"\n" + pixels,
+    st.sampled_from([b"P5", b"P6"]), _SIZE, st.sampled_from([b" ", b"\n", b" #c\n"]), _SIZE,
+    st.sampled_from([b"255", b"65535"]), st.binary(max_size=12) | st.binary(min_size=12, max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_IMAGE_BYTES)
+def test_image_readers_load_or_raise_bad_image_file(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/x.pnm"
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        for read, rank in ((ppm.read_ppm, 3), (ppm.read_pgm, 2)):
+            try:
+                img = read(path)
+            except ppm.BadImageFile:
+                continue
+            assert img.ndim == rank and img.size > 0
+            assert img.min() >= -1.0 and img.max() <= 1.0

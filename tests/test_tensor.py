@@ -154,7 +154,7 @@ def test_no_grad_blocks_recording():
         ("add_broadcast", lambda x: T.sum_all(T.mul(T.add(x, Tensor(np.linspace(-1, 1, 4))), T.gelu(x))), (3, 4)),
         ("sub", lambda x: T.sum_all(T.mul(T.sub(x, 0.3), T.sub(0.7, x))), (3, 4)),
         ("mul_broadcast", lambda x: T.sum_all(T.mul(x, Tensor(np.linspace(0.5, 1.5, 3).reshape(3, 1)))), (3, 4)),
-        ("neg_scale", lambda x: T.sum_all(T.scale(T.neg(x), 2.5)), (2, 3)),
+        ("neg_scale", lambda x: T.sum_all(T.scale(x, -2.5)), (2, 3)),
         ("matmul_left", lambda x: T.sum_all(T.mul(T.matmul(x, Tensor(np.linspace(-1, 1, 8).reshape(4, 2))), Tensor(np.linspace(0, 1, 6).reshape(3, 2)))), (3, 4)),
         ("matmul_right", lambda x: T.sum_all(T.gelu(T.matmul(Tensor(np.linspace(-1, 1, 6).reshape(2, 3)), x))), (3, 4)),
         ("transpose", lambda x: T.sum_all(T.mul(T.transpose(x), Tensor(np.linspace(-1, 1, 12).reshape(4, 3)))), (3, 4)),
