@@ -94,12 +94,12 @@ def _load_samples(data_dir, cfg: TR.TrainConfig | None = None):
     samples, _ = SD.load_dataset(data_dir)
     if not samples:
         raise ValueError(f"{data_dir}: empty dataset")
-    if cfg is not None:
+    if cfg is not None:  # every sample, so a stray one cannot stop training midway
         shape = (cfg.channels, cfg.image_size, cfg.image_size)
-        if samples[0].image.shape != shape:
-            raise TR.GeometryMismatch(
-                f"dataset images are {samples[0].image.shape}, model expects {shape}"
-            )
+        for i, s in enumerate(samples):
+            if s.image.shape != shape or s.pixel_mask.shape != shape[1:]:
+                raise TR.GeometryMismatch(f"{data_dir}: sample {i} image {s.image.shape} and mask "
+                                          f"{s.pixel_mask.shape}, model expects {shape}")
     return samples
 
 
@@ -110,7 +110,6 @@ def cmd_gen_data(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     SD.save_dataset(samples, seeds, args.out)
-    SD.vocabulary().to_file(os.path.join(args.out, "vocab.txt"))
     n_uncond = sum(s.caption.is_unconditional for s in samples)
     print(f"wrote {len(samples)} samples ({n_uncond} unconditional) to {args.out}")
     return EXIT_OK

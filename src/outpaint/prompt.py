@@ -92,7 +92,7 @@ def render(p: CsPrompt) -> str:
 
 
 class Vocab:
-    """Bidirectional keyword <-> token id map.
+    """Keyword -> token id map.
 
     Ids 0..3 are reserved (PAD, center marker, surrounding marker, UNK);
     keyword ids are dense starting at 4, in the order given.
@@ -116,19 +116,6 @@ class Vocab:
 
     def id_of(self, word: str) -> int:
         return self._to_id.get(word, UNK_ID)
-
-    def word_of(self, token_id: int) -> str:
-        return self.words[token_id - N_RESERVED]
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for w in self.words:
-                fh.write(w + "\n")
-
-    @classmethod
-    def from_file(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.strip() for line in fh if line.strip()])
 
 
 @dataclass

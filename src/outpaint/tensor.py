@@ -15,12 +15,10 @@ rebuilt on every forward pass.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
-import struct
 from contextlib import contextmanager
-from typing import BinaryIO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -394,38 +392,3 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
             fd[i] = (hi - lo) / (2.0 * h)
     rel = np.abs(analytic.reshape(-1) - fd) / (np.abs(analytic.reshape(-1)) + 1e-8)
     return float(rel.max())
-
-
-# -- checkpoint wire format ----------------------------------------------
-# Little-endian: u32 rank, u32 dims..., f64 data. Shared with the trainer's
-# checkpoint files.
-
-
-def write_array(fh: BinaryIO, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype="<f8")
-    if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    fh.write(struct.pack("<I", arr.ndim))
-    if arr.ndim:
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.tobytes())
-
-
-def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    """Read exactly n bytes; a length beyond the end of ``fh`` is never allocated."""
-    pos = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - pos
-    fh.seek(pos)
-    if n > left:
-        raise EOFError(f"expected {n} bytes, only {left} left")
-    return fh.read(n)
-
-
-def read_array(fh: BinaryIO) -> np.ndarray:
-    (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-    if rank > 32:
-        raise EOFError(f"implausible tensor rank {rank}")
-    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank)) if rank else ()
-    n = math.prod(dims) if rank else 1
-    data = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8")
-    return data.reshape(dims).astype(np.float64)

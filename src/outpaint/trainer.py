@@ -11,7 +11,6 @@ trajectory of an uninterrupted run.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import os
 import struct
@@ -70,8 +69,8 @@ class TrainConfig(DN.DenoiserConfig):
         for name in ("iterations", "batch_size", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         parse_fusion_mode(self.a_mode)
 
     def schedule(self) -> D.NoiseSchedule:
@@ -109,15 +108,19 @@ def config_from_mapping(mapping: dict[str, str], base: TrainConfig | None = None
 def read_config_file(path) -> dict[str, str]:
     """Plain-text `key = value` lines; `#` starts a comment."""
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
-            key, value = body.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
+        key, value = body.split("=", 1)
+        mapping[key.strip()] = value.strip()
     return mapping
 
 
@@ -281,6 +284,10 @@ def run_training(
 
 
 # -- checkpoints -------------------------------------------------------------
+# Layout; every integer is a little-endian u32:
+#   magic, header length, config header (`name=repr(value)` lines, UTF-8),
+#   record count, then per record: name length, UTF-8 name, rank, dims, and
+#   the tensor's little-endian f64 data in C order.
 
 _MAGIC = b"OUTPAINT-CKPT-1\n"
 
@@ -299,31 +306,22 @@ def _parse_header(blob: bytes) -> TrainConfig:
 
 
 def save_checkpoint(params: DN.DenoiserParams, opt: Adam, cfg: TrainConfig, path) -> None:
-    """Magic, config header, then named tensors: parameters in declaration
-    order, the optimizer step counter, and both moment buffers."""
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    header = _config_header(cfg)
-    buf.write(struct.pack("<I", len(header)))
-    buf.write(header)
-
+    """Parameters in declaration order, the optimizer step counter, then
+    both moment buffers. A failed write leaves any previous file at ``path``
+    whole."""
     entries = [(name, t.data) for name, t in params.named_parameters()]
     entries.append(("opt.t", np.array(float(opt.t))))
     for name, _ in params.trainable_parameters():
-        entries.append((f"opt.m.{name}", opt.m[name]))
-        entries.append((f"opt.v.{name}", opt.v[name]))
-
-    buf.write(struct.pack("<I", len(entries)))
-    for name, arr in entries:
-        raw = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(raw)))
-        buf.write(raw)
-        T.write_array(buf, arr)
-    # a failed write leaves any previous checkpoint at ``path`` whole
+        entries += [(f"opt.m.{name}", opt.m[name]), (f"opt.v.{name}", opt.v[name])]
+    header = _config_header(cfg)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(buf.getvalue())
+            fh.write(_MAGIC + struct.pack("<I", len(header)) + header + struct.pack("<I", len(entries)))
+            for name, arr in entries:
+                raw, data = name.encode("utf-8"), np.asarray(arr, dtype="<f8")
+                fh.write(struct.pack(f"<I{len(raw)}sI{data.ndim}I", len(raw), raw, data.ndim, *data.shape))
+                fh.write(data.tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -332,20 +330,33 @@ def save_checkpoint(params: DN.DenoiserParams, opt: Adam, cfg: TrainConfig, path
 
 
 def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams, Adam, TrainConfig]:
-    """Rebuild (params, opt, cfg) exactly as saved."""
+    """Rebuild (params, opt, cfg) exactly as saved. No length read from the
+    file is trusted beyond the bytes the file has left."""
     vocab = vocab or SD.vocabulary()
     try:
         with open(path, "rb") as fh:
             if fh.read(len(_MAGIC)) != _MAGIC:
                 raise CorruptCheckpoint(f"{path}: bad magic")
-            (hlen,) = struct.unpack("<I", T._read_exact(fh, 4))
-            cfg = _parse_header(T._read_exact(fh, hlen))
-            (count,) = struct.unpack("<I", T._read_exact(fh, 4))
+            size = os.fstat(fh.fileno()).st_size
+
+            def read(n: int) -> bytes:
+                if n > size - fh.tell():
+                    raise EOFError(f"expected {n} bytes, only {size - fh.tell()} left")
+                return fh.read(n)
+
+            def u32() -> int:
+                return struct.unpack("<I", read(4))[0]
+
+            cfg = _parse_header(read(u32()))
             blobs: dict[str, np.ndarray] = {}
-            for _ in range(count):
-                (nlen,) = struct.unpack("<I", T._read_exact(fh, 4))
-                name = T._read_exact(fh, nlen).decode("utf-8")
-                blobs[name] = T.read_array(fh)
+            for _ in range(u32()):
+                name = read(u32()).decode("utf-8")
+                rank = u32()
+                if rank > 32:
+                    raise CorruptCheckpoint(f"{path}: implausible tensor rank {rank}")
+                dims = struct.unpack(f"<{rank}I", read(4 * rank))
+                data = read(8 * math.prod(dims))  # rank 0: prod(()) == 1
+                blobs[name] = np.frombuffer(data, dtype="<f8").reshape(dims).astype(np.float64)
             if fh.read(1):
                 raise CorruptCheckpoint(f"{path}: trailing bytes")
     except (EOFError, UnicodeDecodeError) as exc:

@@ -119,6 +119,30 @@ def test_non_finite_training_exits_3_and_keeps_only_finite_checkpoints(tmp_path,
         assert all(np.isfinite(t.data).all() for _, t in params.named_parameters())
 
 
+def test_non_finite_learning_rate_exits_2_before_any_checkpoint(tmp_path, toy_run, capsys):
+    data, _ = toy_run
+    flags = TOY_FLAGS + ["--learning-rate", "nan", "--checkpoint-every", "1"]
+    assert run(["train", "--data", data, "--out", str(tmp_path / "nan")] + flags) == cli.EXIT_USAGE
+    assert "learning_rate" in capsys.readouterr().err
+    assert not list(tmp_path.glob("nan/ckpt_*.bin"))
+
+
+def test_mixed_geometry_dataset_exits_3_before_step_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", str(data), "--n", "6", "--seed", "3",
+                "--image-size", "12", "--center-size", "8"]) == 0
+    # a 16x16 sample at index 3 of a 12x12 dataset: step 1 does not draw it, step 2 does
+    stray = SD.generate(0)
+    ppm.write_ppm(data / "images" / "00003.ppm", stray.image)
+    ppm.write_pgm(data / "masks" / "00003.pgm", stray.pixel_mask)
+    run_dir = tmp_path / "run"
+    flags = TOY_FLAGS + ["--checkpoint-every", "1"]
+    assert run(["train", "--data", str(data), "--out", str(run_dir)] + flags) == cli.EXIT_DATA
+    assert not (run_dir / "ckpt_000001.bin").exists()
+    err = capsys.readouterr().err
+    assert "GeometryMismatch" in err and "sample 3" in err, err
+
+
 def test_non_finite_sample_exits_3_and_writes_no_image(tmp_path, toy_run, capsys):
     data, _ = toy_run
     run_dir = tmp_path / "nan"
@@ -224,6 +248,13 @@ def test_hostile_checkpoint_exits_4_without_traceback(tmp_path, name):
     ckpt = tmp_path / "hostile.ckpt"
     ckpt.write_bytes(HOSTILE_CHECKPOINTS[name])
     done = _capped_cli(["sample", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.ppm")])
+    assert done.returncode == cli.EXIT_CHECKPOINT, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_endless_checkpoint_file_exits_4_without_traceback(tmp_path):
+    # reads stop at the magic: every later read is bounded by the file's size (0 here)
+    done = _capped_cli(["sample", "--ckpt", "/dev/zero", "--out", str(tmp_path / "x.ppm")])
     assert done.returncode == cli.EXIT_CHECKPOINT, done.stderr
     assert "Traceback" not in done.stderr
 

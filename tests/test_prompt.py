@@ -98,17 +98,7 @@ def test_vocab_ids_dense_from_four():
     assert VOCAB.id_of("desert") == 4
     assert VOCAB.id_of("red") == 13
     assert VOCAB.id_of("nonsense") == P.UNK_ID
-    assert VOCAB.word_of(4) == "desert"
     assert VOCAB.size == 14
-
-
-def test_vocab_file_round_trip(tmp_path):
-    path = tmp_path / "vocab.txt"
-    VOCAB.to_file(path)
-    again = P.Vocab.from_file(path)
-    assert again.words == VOCAB.words
-    lines = path.read_text().splitlines()
-    assert lines[0] == "desert"  # line 0 -> id 4
 
 
 def test_tokenize_padding_rule():

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -210,21 +208,3 @@ def test_grad_shape_matches_data_shape():
     backward(T.sum_all(T.softmax_rows(x)))
     assert x.grad.shape == x.data.shape
 
-
-def test_serialization_round_trip():
-    g = rng(12)
-    for arr in [g.uniform(-3, 3, (2, 3, 4)), np.array(1.5), g.uniform(size=7)]:
-        buf = io.BytesIO()
-        T.write_array(buf, arr)
-        buf.seek(0)
-        back = T.read_array(buf)
-        assert back.shape == arr.shape
-        np.testing.assert_array_equal(back, arr)
-
-
-def test_serialization_truncated_raises():
-    buf = io.BytesIO()
-    T.write_array(buf, np.ones((3, 3)))
-    raw = buf.getvalue()[:-8]
-    with pytest.raises(EOFError):
-        T.read_array(io.BytesIO(raw))

@@ -133,6 +133,38 @@ def test_config_overrides_win(tmp_path):
     assert cfg.iterations == 5
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -1e-3])
+def test_non_finite_or_negative_learning_rate_rejected(lr):
+    with pytest.raises(TR.ConfigError, match="learning_rate"):
+        TR.TrainConfig(learning_rate=lr)
+    with pytest.raises(TR.ConfigError, match="learning_rate"):
+        TR.config_from_mapping({"learning_rate": repr(lr)})
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+_CONFIG_VALUES = st.text(max_size=12) | st.integers(-5, 5000).map(str) | st.floats().map(repr)
+_CONFIG_LINES = st.lists(
+    st.tuples(st.sampled_from(sorted(TR._PARSERS)) | st.text(min_size=1, max_size=12), _CONFIG_VALUES)
+    .map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    max_size=6,
+).map(lambda lines: "\n".join(lines).encode("utf-8"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=st.binary(max_size=256) | _CONFIG_LINES)
+def test_config_file_bytes_load_or_raise_config_error(config_dir, raw):
+    path = config_dir / "fuzz.cfg"
+    path.write_bytes(raw)
+    try:
+        assert isinstance(TR.load_config(path), TR.TrainConfig)
+    except TR.ConfigError:
+        pass
+
+
 def test_invalid_model_geometry_rejected_at_construction():
     with pytest.raises(TR.ConfigError):
         TR.TrainConfig(d_model=6)  # 2-d sinusoidal positions need d_model % 4 == 0
