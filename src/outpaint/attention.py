@@ -173,7 +173,7 @@ def fusion_scalar(value, fusion_mode: str) -> Tensor:
     return Tensor(value, requires_grad=fusion_mode == FUSION_LEARNABLE)
 
 
-def init_fusion(fusion_mode: str = FUSION_LEARNABLE, constant: float | None = None, rng=None) -> Tensor:
+def init_fusion(fusion_mode: str, constant: float | None, rng) -> Tensor:
     """Starting fusion weight: learnable starts at 0 (the wrapped module then
     reproduces the baseline exactly), constant pins ``constant`` and random
     draws uniform(0,1) from ``rng``."""

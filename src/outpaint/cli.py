@@ -45,9 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="fine-tune the denoiser on a dataset")
     train.add_argument("--data", required=True, help="dataset directory (from gen-data)")
     train.add_argument("--out", required=True, help="run directory for checkpoints and the log")
-    train.add_argument("--config", help="key = value config file")
-    for name in TR.TrainConfig.__dataclass_fields__:
-        train.add_argument(f"--{name.replace('_', '-')}", dest=f"cfg_{name}")
 
     sample = sub.add_parser("sample", help="outpaint one image with a trained model")
     sample.add_argument("--ckpt", required=True)
@@ -72,10 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     ab = sub.add_parser("ablate", help="train the three fusion-mode arms and compare")
     ab.add_argument("--data", required=True)
     ab.add_argument("--out", required=True)
-    ab.add_argument("--config", help="key = value config file")
     ab.add_argument("--eval-n", type=int, default=32, help="samples scored per arm")
-    for name in TR.TrainConfig.__dataclass_fields__:
-        ab.add_argument(f"--{name.replace('_', '-')}", dest=f"cfg_{name}")
+
+    for p in (train, ab):
+        p.add_argument("--config", help="key = value config file")
+        for name in TR.TrainConfig.__dataclass_fields__:
+            p.add_argument(f"--{name.replace('_', '-')}", dest=f"cfg_{name}")
 
     return parser
 
@@ -90,16 +89,15 @@ def _config_from_args(args) -> TR.TrainConfig:
     return TR.config_from_mapping(overrides)
 
 
-def _load_samples(data_dir, cfg: TR.TrainConfig | None = None):
+def _load_samples(data_dir, cfg: TR.TrainConfig):
     samples, _ = SD.load_dataset(data_dir)
     if not samples:
         raise ValueError(f"{data_dir}: empty dataset")
-    if cfg is not None:  # every sample, so a stray one cannot stop training midway
-        shape = (cfg.channels, cfg.image_size, cfg.image_size)
-        for i, s in enumerate(samples):
-            if s.image.shape != shape or s.pixel_mask.shape != shape[1:]:
-                raise TR.GeometryMismatch(f"{data_dir}: sample {i} image {s.image.shape} and mask "
-                                          f"{s.pixel_mask.shape}, model expects {shape}")
+    shape = cfg.image_shape
+    for i, s in enumerate(samples):  # every sample, so a stray one cannot stop training midway
+        if s.image.shape != shape or s.pixel_mask.shape != shape[1:]:
+            raise TR.GeometryMismatch(f"{data_dir}: sample {i} image {s.image.shape} and mask "
+                                      f"{s.pixel_mask.shape}, model expects {shape}")
     return samples
 
 
@@ -132,7 +130,7 @@ def cmd_sample(args) -> int:
     prompt = parse(args.prompt)
     params, _, cfg = TR.load_checkpoint(args.ckpt)
     vocab = SD.vocabulary()
-    shape = (cfg.channels, cfg.image_size, cfg.image_size)
+    shape = cfg.image_shape
 
     if args.mask == "center":
         mask = SD.make_center_mask(cfg.image_size, cfg.center_size)
@@ -147,11 +145,10 @@ def cmd_sample(args) -> int:
     else:
         source = np.zeros(shape)
 
-    masked = source * (1.0 - mask)
     pe = tokenize_and_embed(prompt, vocab, params.text_table, cfg.l_center, cfg.l_surround)
     steps = args.steps if args.steps is not None else cfg.infer_steps
     rng = np.random.default_rng(args.seed)
-    gen = ddim_sample(params, cfg.schedule(), masked, mask, pe, steps, rng)
+    gen = ddim_sample(params, cfg.schedule(), source, mask, pe, steps, rng)
     if args.copy:
         gen = EV.copy_center(gen, source, mask)
     out_dir = os.path.dirname(args.out)

@@ -1,21 +1,23 @@
 """Noise-prediction network: a patch-token transformer over the masked input.
 
 The network sees the channel concatenation (noisy image, masked image,
-mask), so a 3-channel image yields a 7-channel input. Patches become
-tokens; each of the ``n_blocks`` pre-norm residual blocks runs
-self-attention, then region-routed cross-attention against the prompt
-embedding (the token mask comes from block-averaging the pixel mask onto
-the patch grid), then a feed-forward. The output head projects tokens back
-to patches of predicted noise.
+mask), so a 3-channel image yields a 7-channel input. Callers pass the
+plain image; ``condition`` zeroes its surroundings (mask 1) itself.
+Patches become tokens; each of the ``n_blocks`` pre-norm residual blocks
+runs self-attention, then region-routed cross-attention against the
+prompt embedding (the token mask comes from block-averaging the pixel mask
+onto the patch grid), then a feed-forward. The output head projects tokens
+back to patches of predicted noise.
 
 Every cross-attention site carries the center/total/surrounding weights;
 with the fusion scalar at 0 a site computes exactly plain cross-attention,
 whatever its region-branch weights hold.
 
 ``forward`` is three parts, so that a sampler pays for the constant ones
-once per image: ``condition`` (validation, known patches, per-block prompt
-keys/values and routing), ``time_embedding`` (the timestep MLP over many
-timesteps at once) and ``denoise`` (the transformer over one noisy image).
+once per image: ``condition`` (validation, masking, known patches,
+per-block prompt keys/values and routing), ``time_embedding`` (the
+timestep MLP over many timesteps at once) and ``denoise`` (the transformer
+over one noisy image).
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ class DenoiserConfig:
             )
         if self.d_model % 4:
             raise ValueError("d_model must be divisible by 4 (2-d sinusoidal positions)")
+        # sizes that allocate before any checkpoint tensor could bound them
+        for name, size, ceiling in (("image_size", self.image_size, 1024), ("token count", self.grid**2, 4096),
+                                    ("l_center", self.l_center, 1024), ("l_surround", self.l_surround, 1024),
+                                    ("t_steps", self.t_steps, 100_000)):
+            if size > ceiling:
+                raise ValueError(f"{name} {size} exceeds its ceiling {ceiling}")
+
+    @property
+    def image_shape(self) -> tuple[int, int, int]:
+        return (self.channels, self.image_size, self.image_size)
 
     @property
     def grid(self) -> int:
@@ -212,22 +224,18 @@ def init_denoiser_params(
     return params
 
 
-def sinusoidal_embedding(pos: float, dim: int) -> np.ndarray:
-    """Standard sin/cos embedding of a scalar position."""
+def sinusoidal_embedding(positions, dim: int) -> np.ndarray:
+    """Standard sin/cos embedding, one row of width ``dim`` per position."""
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
-    angles = pos * freqs
-    return np.concatenate([np.sin(angles), np.cos(angles)])
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
 @functools.lru_cache(maxsize=8)
 def position_grid(cfg: DenoiserConfig) -> np.ndarray:
     """Fixed 2-d sinusoidal positions, one row per patch token (read-only, cached)."""
-    quarter = cfg.d_model // 4
-    freqs = np.exp(-math.log(10000.0) * np.arange(quarter) / max(quarter - 1, 1))
-    coords = np.arange(cfg.grid)
-    table = coords[:, None] * freqs[None, :]
-    one_d = np.concatenate([np.sin(table), np.cos(table)], axis=1)  # (grid, d/2)
+    one_d = sinusoidal_embedding(np.arange(cfg.grid), cfg.d_model // 2)  # (grid, d/2)
     rows = np.repeat(one_d, cfg.grid, axis=0)
     cols = np.tile(one_d, (cfg.grid, 1))
     grid = np.concatenate([rows, cols], axis=1)  # (n_tokens, d)
@@ -251,7 +259,7 @@ def _unpatchify(tokens: Tensor, cfg: DenoiserConfig) -> Tensor:
     p, c, g = cfg.patch_size, cfg.channels, cfg.grid
     t = T.reshape(tokens, (g, g, c, p, p))
     t = T.permute(t, (2, 0, 3, 1, 4))
-    return T.reshape(t, (c, cfg.image_size, cfg.image_size))
+    return T.reshape(t, cfg.image_shape)
 
 
 def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -273,33 +281,34 @@ class Conditioning:
 
 def condition(
     params: DenoiserParams,
-    masked_img: np.ndarray,
+    image: np.ndarray,
     pixel_mask: np.ndarray,
     pe: PromptEmbedding,
 ) -> Conditioning:
-    """Validate the known input and route the prompt at every block."""
+    """Validate the input, keep only the known part of ``image`` (mask 0) and
+    route the prompt at every block."""
     cfg = params.cfg
-    masked_img = np.asarray(masked_img, dtype=np.float64)
+    image = np.asarray(image, dtype=np.float64)
     pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
-    img_shape = (cfg.channels, cfg.image_size, cfg.image_size)
-    if masked_img.shape != img_shape:
-        raise ShapeMismatch(f"expected image shape {img_shape}, got {masked_img.shape}")
-    if pixel_mask.shape != img_shape[1:]:
-        raise ShapeMismatch(f"expected mask shape {img_shape[1:]}, got {pixel_mask.shape}")
+    if image.shape != cfg.image_shape:
+        raise ShapeMismatch(f"expected image shape {cfg.image_shape}, got {image.shape}")
+    if pixel_mask.shape != cfg.image_shape[1:]:
+        raise ShapeMismatch(f"expected mask shape {cfg.image_shape[1:]}, got {pixel_mask.shape}")
     if not np.all((pixel_mask == 0.0) | (pixel_mask == 1.0)):
         raise A.MaskNotBinary("pixel mask entries must be exactly 0 or 1")
     token_mask = resize_mask(pixel_mask, (cfg.grid, cfg.grid))
-    known = patchify(np.concatenate([masked_img, pixel_mask[None]], axis=0), cfg.patch_size)
+    known = patchify(np.concatenate([image * (1.0 - pixel_mask), pixel_mask[None]], axis=0), cfg.patch_size)
     return Conditioning(known, [A.route_text(pe, token_mask, blk.cross) for blk in params.blocks])
 
 
 def time_embedding(params: DenoiserParams, ts) -> Tensor:
     """Timestep MLP over ``ts`` in one pass; row i embeds ts[i]."""
     cfg = params.cfg
-    for t in ts:
-        if not 0 <= t <= cfg.t_steps:
-            raise ValueError(f"t={t} outside [0, {cfg.t_steps}]")
-    rows = Tensor(np.stack([sinusoidal_embedding(float(t), cfg.d_model) for t in ts]))
+    ts = np.asarray(ts, dtype=np.float64)
+    bad = ts[~((ts >= 0) & (ts <= cfg.t_steps))]
+    if bad.size:
+        raise ValueError(f"t={bad[0]:g} outside [0, {cfg.t_steps}]")
+    rows = Tensor(sinusoidal_embedding(ts, cfg.d_model))
     h = T.gelu(T.add(T.matmul(rows, params.time_w1), params.time_b1))
     return T.add(T.matmul(h, params.time_w2), params.time_b2)
 
@@ -308,9 +317,8 @@ def denoise(params: DenoiserParams, x_t: np.ndarray, temb: Tensor, cond: Conditi
     """Predict the noise in ``x_t`` given one timestep-embedding row and ``cond``."""
     cfg = params.cfg
     x_t = np.asarray(x_t, dtype=np.float64)
-    img_shape = (cfg.channels, cfg.image_size, cfg.image_size)
-    if x_t.shape != img_shape:
-        raise ShapeMismatch(f"expected image shape {img_shape}, got {x_t.shape}")
+    if x_t.shape != cfg.image_shape:
+        raise ShapeMismatch(f"expected image shape {cfg.image_shape}, got {x_t.shape}")
 
     patches = np.concatenate([patchify(x_t, cfg.patch_size), cond.known], axis=1)
     x = T.add(T.matmul(Tensor(patches), params.patch_w), params.patch_b)
@@ -333,11 +341,11 @@ def denoise(params: DenoiserParams, x_t: np.ndarray, temb: Tensor, cond: Conditi
 def forward(
     params: DenoiserParams,
     x_t: np.ndarray,
-    masked_img: np.ndarray,
+    image: np.ndarray,
     pixel_mask: np.ndarray,
     t: int,
     pe: PromptEmbedding,
 ) -> Tensor:
     """Predict the noise in ``x_t``; output shape equals the input image."""
-    cond = condition(params, masked_img, pixel_mask, pe)
+    cond = condition(params, image, pixel_mask, pe)
     return denoise(params, x_t, time_embedding(params, [t]), cond)

@@ -62,7 +62,7 @@ class NoiseSchedule:
         return float(self.alpha_bars[t])
 
 
-def linear_schedule(t_steps: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linearly spaced rates, inclusive of both endpoints."""
     if t_steps < 1:
         raise BadRange(f"t_steps must be >= 1, got {t_steps}")

@@ -203,13 +203,17 @@ def evaluate(
     shape+color for the center) all appear in the conditioning prompt for
     that region; samples whose prompt leaves a region empty are excluded
     from that region's denominator. center_mse is measured before any
-    center copying.
+    center copying. Fewer than one sample to score raises ``ValueError``.
     """
     if prompt_mode not in ("dataset", "unconditional", "custom"):
         raise ValueError(f"unknown prompt mode {prompt_mode!r}")
     if prompt_mode == "custom" and (custom_prompts is None or len(custom_prompts) < n):
         raise ValueError("custom prompt mode needs one prompt per sample")
     n = min(n, len(samples))
+    if n < 1:
+        raise ValueError(f"nothing to evaluate: n = {n}")
+    prompts = {"dataset": [s.caption for s in samples], "unconditional": [UNCONDITIONAL] * n,
+               "custom": custom_prompts}[prompt_mode]
     cfg = params.cfg
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -217,18 +221,10 @@ def evaluate(
     center_hits = center_total = 0
     surround_hits = surround_total = texture_hits = color_hits = 0
     mse_sum = 0.0
-    for i in range(n):
-        sample = samples[i]
-        if prompt_mode == "dataset":
-            cond = sample.caption
-        elif prompt_mode == "unconditional":
-            cond = UNCONDITIONAL
-        else:
-            cond = custom_prompts[i]
+    for i, (sample, cond) in enumerate(zip(samples[:n], prompts)):
         pe = tokenize_and_embed(cond, vocab, params.text_table, cfg.l_center, cfg.l_surround)
-        masked = sample.image * (1.0 - sample.pixel_mask)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        gen = ddim_sample(params, schedule, masked, sample.pixel_mask, pe, infer_steps, rng)
+        gen = ddim_sample(params, schedule, sample.image, sample.pixel_mask, pe, infer_steps, rng)
 
         keep = sample.pixel_mask == 0.0
         if keep.any():
@@ -255,7 +251,7 @@ def evaluate(
         region_accuracy_surrounding=surround_hits / surround_total if surround_total else 0.0,
         texture_accuracy_surrounding=texture_hits / surround_total if surround_total else 0.0,
         color_accuracy_surrounding=color_hits / surround_total if surround_total else 0.0,
-        center_mse=mse_sum / n if n else 0.0,
+        center_mse=mse_sum / n,
         n_samples=n,
     )
     if out_dir is not None:

@@ -25,16 +25,20 @@ def byte_to_float(raw: np.ndarray) -> np.ndarray:
     return raw.astype(np.float64) / 127.5 - 1.0
 
 
+def _write_raster(path, magic: bytes, raw: np.ndarray) -> None:
+    """(H, W[, channels]) bytes behind a maxval-255 header; the inverse of ``_read_raster``."""
+    h, w = raw.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(raw.tobytes())
+
+
 def write_ppm(path, img: np.ndarray) -> None:
     """Write a (3, H, W) float image in [-1, 1] as binary P6."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] != 3:
         raise BadImageFile(f"expected (3, H, W) image, got {img.shape}")
-    _, h, w = img.shape
-    data = float_to_byte(img).transpose(1, 2, 0)  # (H, W, 3)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_raster(path, b"P6", float_to_byte(img).transpose(1, 2, 0))
 
 
 def write_pgm(path, mask: np.ndarray) -> None:
@@ -42,10 +46,7 @@ def write_pgm(path, mask: np.ndarray) -> None:
     mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim != 2:
         raise BadImageFile(f"expected (H, W) mask, got {mask.shape}")
-    data = (mask * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{mask.shape[1]} {mask.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_raster(path, b"P5", (mask * 255).astype(np.uint8))
 
 
 def _read_header(fh, magic: bytes):

@@ -17,7 +17,7 @@ class NonFiniteImage(ValueError):
 def ddim_sample(
     params: DN.DenoiserParams,
     schedule: D.NoiseSchedule,
-    masked_img: np.ndarray,
+    image: np.ndarray,
     pixel_mask: np.ndarray,
     pe: PromptEmbedding,
     n_steps: int,
@@ -25,8 +25,8 @@ def ddim_sample(
 ) -> np.ndarray:
     """Run the deterministic sampler from pure noise down to a clean image.
 
-    The known center content enters through the masked image channel of
-    the denoiser input at every step; only the start noise is random. The
+    The denoiser sees ``image`` only where ``pixel_mask`` is 0 (the known
+    center), at every step; only the start noise is random. The
     input is conditioned and every timestep embedded once, before the steps.
     A finished image with a non-finite pixel raises ``NonFiniteImage``.
     """
@@ -35,10 +35,10 @@ def ddim_sample(
         raise ValueError(
             f"model trained for {cfg.t_steps} steps, schedule has {schedule.t_steps}"
         )
-    x = rng.standard_normal((cfg.channels, cfg.image_size, cfg.image_size))
+    x = rng.standard_normal(cfg.image_shape)
     taus = D.ddim_timesteps(schedule.t_steps, n_steps)
     with no_grad():
-        cond = DN.condition(params, masked_img, pixel_mask, pe)
+        cond = DN.condition(params, image, pixel_mask, pe)
         temb = DN.time_embedding(params, taus[:-1])
         for i in range(len(taus) - 1):
             eps = DN.denoise(params, x, slice_axis(temb, 0, i, i + 1), cond).data

@@ -183,20 +183,15 @@ def generate(seed: int, spec: SynthSpec = DEFAULT_SPEC) -> SynthSample:
     pool = SHADES if texture == "solid" else DENSITIES
     qualifier = pool[rng.integers(len(pool))]
 
+    mask = make_center_mask(spec.image_size, spec.center_size)
     img = render_surrounding_field(texture, surround_color, qualifier, spec.image_size)
-    lo = (spec.image_size - spec.center_size) // 2
-    hi = lo + spec.center_size
-    img[:, lo:hi, lo:hi] = render_center_tile(shape, center_color, size_word, spec.center_size)
+    img[:, mask == 0.0] = render_center_tile(shape, center_color, size_word, spec.center_size).reshape(3, -1)
 
     caption = CsPrompt(
         (shape, center_color, size_word),
         (texture, surround_color, qualifier),
     )
-    return SynthSample(
-        image=img * 2.0 - 1.0,
-        pixel_mask=make_center_mask(spec.image_size, spec.center_size),
-        caption=caption,
-    )
+    return SynthSample(image=img * 2.0 - 1.0, pixel_mask=mask, caption=caption)
 
 
 def split_conditional(samples: Sequence[SynthSample], uncond_fraction: float, seed: int) -> list[SynthSample]:
@@ -235,11 +230,7 @@ def build_dataset(
     if irregular:
         keep = (spec.center_size / spec.image_size) ** 2
         samples = [
-            SynthSample(
-                image=s.image,
-                pixel_mask=make_irregular_mask(sd, spec.image_size, keep),
-                caption=s.caption,
-            )
+            replace(s, pixel_mask=make_irregular_mask(sd, spec.image_size, keep))
             for s, sd in zip(samples, seeds)
         ]
     if uncond_fraction:

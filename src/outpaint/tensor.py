@@ -122,12 +122,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise primitives ---------------------------------------------
 
 
+def _broadcast(op, a: Tensor, b: Tensor) -> np.ndarray:
+    """``op`` (a numpy ufunc) over broadcast operands; ``ShapeMismatch`` if they do not broadcast."""
+    try:
+        return op(a.data, b.data)
+    except ValueError:
+        raise ShapeMismatch(f"{op.__name__}: cannot broadcast {a.shape} with {b.shape}") from None
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeMismatch(f"add: cannot broadcast {a.shape} with {b.shape}") from None
+    data = _broadcast(np.add, a, b)
 
     def vjp(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
@@ -137,10 +142,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeMismatch(f"sub: cannot broadcast {a.shape} with {b.shape}") from None
+    data = _broadcast(np.subtract, a, b)
 
     def vjp(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
@@ -150,10 +152,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeMismatch(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
+    data = _broadcast(np.multiply, a, b)
 
     def vjp(g):
         return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))

@@ -1,7 +1,7 @@
 """Fine-tuning loop, optimizer, checkpoints, and the fusion-mode ablation.
 
 Each step draws a batch, noises every sample to a uniformly random
-timestep, runs the denoiser on (noisy, masked, mask, prompt), takes the
+timestep, runs the denoiser on (noisy, image, mask, prompt), takes the
 mean squared error against the added noise, and applies one Adam update to
 all trainable parameters. All randomness for step k comes from a generator
 derived from (seed, k), so resuming from a checkpoint continues the exact
@@ -64,13 +64,17 @@ class TrainConfig(DN.DenoiserConfig):
     def __post_init__(self):
         try:
             super().__post_init__()
+            self.schedule()
+            D.ddim_timesteps(self.t_steps, self.infer_steps)
+            SD.make_center_mask(self.image_size, self.center_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         for name in ("iterations", "batch_size", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0 <= self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("learning_rate", "grad_clip"):  # grad_clip 0 means no clipping
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         parse_fusion_mode(self.a_mode)
 
     def schedule(self) -> D.NoiseSchedule:
@@ -92,7 +96,7 @@ def parse_fusion_mode(a_mode: str) -> tuple[str, float | None]:
 _PARSERS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(TrainConfig)}
 
 
-def config_from_mapping(mapping: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
+def config_from_mapping(mapping: dict[str, str]) -> TrainConfig:
     """Build a config from string key/values; unknown keys are errors."""
     parsed = {}
     for key, raw in mapping.items():
@@ -102,7 +106,7 @@ def config_from_mapping(mapping: dict[str, str], base: TrainConfig | None = None
             parsed[key] = _PARSERS[key](raw)
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    return replace(base or TrainConfig(), **parsed)
+    return TrainConfig(**parsed)
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -222,17 +226,15 @@ def train_step(
     if not batch:
         raise ValueError("empty batch")
     cfg = params.cfg
-    img_shape = (cfg.channels, cfg.image_size, cfg.image_size)
     losses = []
     for sample in batch:
-        if sample.image.shape != img_shape:
-            raise GeometryMismatch(f"sample {sample.image.shape} vs model {img_shape}")
+        if sample.image.shape != cfg.image_shape:
+            raise GeometryMismatch(f"sample {sample.image.shape} vs model {cfg.image_shape}")
         t = int(rng.integers(1, schedule.t_steps + 1))
-        eps = rng.standard_normal(img_shape)
+        eps = rng.standard_normal(cfg.image_shape)
         x_t = D.forward_sample(sample.image, t, eps, schedule)
-        masked = sample.image * (1.0 - sample.pixel_mask)
         pe = tokenize_and_embed(sample.caption, vocab, params.text_table, cfg.l_center, cfg.l_surround)
-        pred = DN.forward(params, x_t, masked, sample.pixel_mask, t, pe)
+        pred = DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe)
         losses.append(D.training_loss(eps, pred))
     total = losses[0]
     for extra in losses[1:]:

@@ -4,6 +4,7 @@ import resource
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -215,6 +216,24 @@ def _ckpt(header: bytes, records: bytes = b"") -> bytes:
 _GOOD_HEADER = TR._config_header(TR.TrainConfig())
 _ONE_RECORD = struct.pack("<I", 1)
 
+
+def _toy_checkpoint() -> tuple[bytes, bytes]:
+    """Header and records of a real toy checkpoint; no tensor shape depends on
+    t_steps, image_size or the prompt windows."""
+    cfg = TR.TrainConfig(t_steps=10, image_size=12, patch_size=3, d_model=16, n_blocks=1, d_text=8,
+                         l_center=4, l_surround=4)
+    params = TR.init_model(cfg, SD.vocabulary())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "toy.ckpt")
+        TR.save_checkpoint(params, TR.Adam(params.trainable_parameters(), lr=1e-3), cfg, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    header = TR._config_header(cfg)
+    return header, blob[len(_ckpt(header)):]
+
+
+_TOY_HEADER, _TOY_RECORDS = _toy_checkpoint()
+
 HOSTILE_CHECKPOINTS = {
     "huge_tensor_dims": _ckpt(
         _GOOD_HEADER,
@@ -225,6 +244,10 @@ HOSTILE_CHECKPOINTS = {
     "non_utf8_tensor_name": _ckpt(_GOOD_HEADER, _ONE_RECORD + struct.pack("<I", 2) + b"\xff\xfe"),
     # a model of about 300 GiB declared by a header alone
     "huge_model_header": _ckpt(TR._config_header(TR.TrainConfig(d_model=100000)), struct.pack("<I", 0)),
+    # sizes no tensor shape bounds, declared over the records of a real toy model
+    "huge_t_steps": _ckpt(_TOY_HEADER.replace(b"t_steps=10\n", b"t_steps=8589934592\n"), _TOY_RECORDS),
+    "huge_image_size": _ckpt(_TOY_HEADER.replace(b"image_size=12\n", b"image_size=393216\n"), _TOY_RECORDS),
+    "huge_l_center": _ckpt(_TOY_HEADER.replace(b"l_center=4\n", b"l_center=8589934592\n"), _TOY_RECORDS),
 }
 # Address-space cap for the child: far above a healthy run, far below any
 # allocation from header sizes, so a regression fails fast instead of paging.
@@ -250,6 +273,26 @@ def test_hostile_checkpoint_exits_4_without_traceback(tmp_path, name):
     done = _capped_cli(["sample", "--ckpt", str(ckpt), "--out", str(tmp_path / "x.ppm")])
     assert done.returncode == cli.EXIT_CHECKPOINT, done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--t-steps", "8589934592"), ("--image-size", "393216"),
+                                        ("--l-center", "8589934592")])
+def test_hostile_size_flag_exits_2_before_any_checkpoint(tmp_path, toy_run, flag, value):
+    data, _ = toy_run
+    run_dir = tmp_path / "run"
+    flags = TOY_FLAGS + ["--checkpoint-every", "1", flag, value]
+    done = _capped_cli(["train", "--data", data, "--out", str(run_dir)] + flags)
+    assert done.returncode == cli.EXIT_USAGE, done.stderr
+    assert "ceiling" in done.stderr and "Traceback" not in done.stderr
+    assert not list(run_dir.glob("*.bin"))
+
+
+def test_bad_beta_end_exits_2_before_any_checkpoint(tmp_path, toy_run, capsys):
+    data, _ = toy_run
+    flags = TOY_FLAGS + ["--beta-end", "2", "--checkpoint-every", "1"]
+    assert run(["train", "--data", data, "--out", str(tmp_path / "b")] + flags) == cli.EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("b/*.bin"))
 
 
 def test_endless_checkpoint_file_exits_4_without_traceback(tmp_path):
@@ -288,6 +331,16 @@ def test_eval_runs_and_is_deterministic(tmp_path, toy_run):
         reports.append(open(os.path.join(out, "report.json")).read())
     assert reports[0] == reports[1]
     assert tree_bytes(tmp_path / "e1") == tree_bytes(tmp_path / "e2")
+
+
+def test_eval_of_no_samples_exits_3_and_writes_no_report(tmp_path, toy_run, capsys):
+    data, run_dir = toy_run
+    out = tmp_path / "none"
+    assert run(["eval", "--ckpt", run_dir + "/model.ckpt", "--data", data, "--n", "0",
+                "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "nothing to evaluate" in err[0], err
+    assert not out.exists()
 
 
 def test_eval_swapped_mode(tmp_path, toy_run):

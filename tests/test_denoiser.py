@@ -229,3 +229,16 @@ def test_ablation_modes_share_base_initialization():
     assert runs["learnable"].fusion_values() == [0.0, 0.0]
     for v in runs["random"].fusion_values():
         assert 0.0 <= v <= 1.0
+
+
+def test_forward_masks_its_own_input():
+    # callers pass the plain image: the denoiser zeroes its surroundings itself
+    cfg = DN.DenoiserConfig(image_size=8, channels=3, patch_size=2, d_model=16, n_blocks=1)
+    params = DN.init_denoiser_params(cfg, VOCAB, rng(21))
+    g = rng(22)
+    image = g.uniform(-1, 1, (3, 8, 8))
+    x_t, _, mask, prompt = make_inputs(cfg, g)
+    pe = embed(params, prompt)
+    plain = DN.forward(params, x_t, image, mask, 6, pe).data
+    premasked = DN.forward(params, x_t, image * (1.0 - mask), mask, 6, pe).data
+    assert plain.tobytes() == premasked.tobytes()

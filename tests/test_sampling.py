@@ -97,6 +97,21 @@ def test_conditioning_once_matches_a_forward_per_step():
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
+def test_surroundings_of_the_input_image_are_never_seen():
+    cfg, params, _, mask, pe = routed_setup()
+    g = np.random.default_rng(9)
+    image = g.uniform(-1, 1, cfg.image_shape)
+    repainted = np.where(mask == 1.0, g.uniform(-1, 1, cfg.image_shape), image)
+    assert not np.array_equal(image, repainted)
+    x_t = g.standard_normal(cfg.image_shape)
+    with T.no_grad():
+        a, b = (DN.forward(params, x_t, img, mask, 7, pe).data for img in (image, repainted))
+    np.testing.assert_array_equal(a, b)
+    a, b = (ddim_sample(params, cfg.schedule(), img, mask, pe, 4, np.random.default_rng(2))
+            for img in (image, repainted))
+    np.testing.assert_array_equal(a, b)
+
+
 def count_calls(monkeypatch, calls, module, name):
     real = getattr(module, name)
 

@@ -141,6 +141,18 @@ def test_non_finite_or_negative_learning_rate_rejected(lr):
         TR.config_from_mapping({"learning_rate": repr(lr)})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"beta_end": "2"},
+    {"beta_start": "nan"},
+    {"grad_clip": "nan"},
+    {"infer_steps": "0"},
+    {"center_size": "20", "image_size": "12"},
+])
+def test_schedule_sampler_clip_and_center_rejected(overrides):
+    with pytest.raises(TR.ConfigError):
+        TR.config_from_mapping(overrides)
+
+
 @pytest.fixture(scope="module")
 def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("configs")
