@@ -5,9 +5,3 @@ surroundings of an image from its known center, conditioned on a spatial
 "Center:...; Surrounding:..." keyword prompt fed through a three-branch
 (center / total / surrounding) mask-gated cross-attention.
 """
-
-from outpaint.tensor import Tensor, backward, no_grad
-
-__version__ = "0.1.0"
-
-__all__ = ["Tensor", "backward", "no_grad", "__version__"]

@@ -97,9 +97,6 @@ class RegionMask:
             raise MaskNotBinary("region mask entries must be exactly 0 or 1")
         self.values = vals
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class RoutedText:

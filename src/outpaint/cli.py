@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,13 +30,21 @@ EXIT_CHECKPOINT = 4
 DATA_ERRORS = (OSError, ValueError)  # MalformedPrompt, BadImageFile and the like are ValueErrors
 
 
+def count(text: str) -> int:
+    """Argparse type of the flags that count samples: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="outpaint", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="write a synthetic dataset")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--n", type=int, required=True, help="number of samples")
+    gen.add_argument("--n", type=count, required=True, help="number of samples")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--image-size", type=int, default=16)
     gen.add_argument("--center-size", type=int, default=8)
@@ -69,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     ab = sub.add_parser("ablate", help="train the three fusion-mode arms and compare")
     ab.add_argument("--data", required=True)
     ab.add_argument("--out", required=True)
-    ab.add_argument("--eval-n", type=int, default=32, help="samples scored per arm")
+    ab.add_argument("--eval-n", type=count, default=32, help="samples scored per arm")
 
     for p in (train, ab):
         p.add_argument("--config", help="key = value config file")
@@ -80,13 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> TR.TrainConfig:
-    overrides = {}
-    for key, value in vars(args).items():
-        if key.startswith("cfg_") and value is not None:
-            overrides[key.removeprefix("cfg_")] = value
-    if getattr(args, "config", None):
-        return TR.load_config(args.config, overrides)
-    return TR.config_from_mapping(overrides)
+    """The ``--config`` file's settings, overridden by the config flags given."""
+    mapping = TR.read_config_file(args.config) if args.config else {}
+    mapping.update({key.removeprefix("cfg_"): value for key, value in vars(args).items()
+                    if key.startswith("cfg_") and value is not None})
+    return TR.config_from_mapping(mapping)
+
+
+def _checkpoint(args):  # --steps replaces infer_steps, so the config checks it like any setting
+    params, _, cfg = TR.load_checkpoint(args.ckpt)
+    return params, cfg if args.steps is None else replace(cfg, infer_steps=args.steps)
 
 
 def _load_samples(data_dir, cfg: TR.TrainConfig):
@@ -106,7 +118,6 @@ def cmd_gen_data(args) -> int:
     samples, seeds = SD.build_dataset(
         args.n, args.seed, spec, uncond_fraction=args.uncond_fraction, irregular=args.irregular
     )
-    os.makedirs(args.out, exist_ok=True)
     SD.save_dataset(samples, seeds, args.out)
     n_uncond = sum(s.caption.is_unconditional for s in samples)
     print(f"wrote {len(samples)} samples ({n_uncond} unconditional) to {args.out}")
@@ -128,7 +139,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     prompt = parse(args.prompt)
-    params, _, cfg = TR.load_checkpoint(args.ckpt)
+    params, cfg = _checkpoint(args)
     vocab = SD.vocabulary()
     shape = cfg.image_shape
 
@@ -146,9 +157,8 @@ def cmd_sample(args) -> int:
         source = np.zeros(shape)
 
     pe = tokenize_and_embed(prompt, vocab, params.text_table, cfg.l_center, cfg.l_surround)
-    steps = args.steps if args.steps is not None else cfg.infer_steps
     rng = np.random.default_rng(args.seed)
-    gen = ddim_sample(params, cfg.schedule(), source, mask, pe, steps, rng)
+    gen = ddim_sample(params, cfg.schedule(), source, mask, pe, cfg.infer_steps, rng)
     if args.copy:
         gen = EV.copy_center(gen, source, mask)
     out_dir = os.path.dirname(args.out)
@@ -160,7 +170,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, _, cfg = TR.load_checkpoint(args.ckpt)
+    params, cfg = _checkpoint(args)
     samples = _load_samples(args.data, cfg)
     vocab = SD.vocabulary()
     mode = args.mode
@@ -168,7 +178,6 @@ def cmd_eval(args) -> int:
     if mode == "swapped":
         custom = EV.swap_surrounding_colors([s.caption for s in samples], args.seed)
         mode = "custom"
-    steps = args.steps if args.steps is not None else cfg.infer_steps
     report = EV.evaluate(
         params,
         cfg.schedule(),
@@ -177,7 +186,7 @@ def cmd_eval(args) -> int:
         vocab,
         prompt_mode=mode,
         custom_prompts=custom,
-        infer_steps=steps,
+        infer_steps=cfg.infer_steps,
         seed=args.seed,
         copy=args.copy,
         out_dir=args.out,

@@ -37,7 +37,6 @@ class NoiseSchedule:
     """
 
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
 
     @property
@@ -52,10 +51,6 @@ class NoiseSchedule:
         self._check(t)
         return float(self.betas[t - 1])
 
-    def alpha(self, t: int) -> float:
-        self._check(t)
-        return float(self.alphas[t - 1])
-
     def alpha_bar(self, t: int) -> float:
         if not 0 <= t <= self.t_steps:
             raise BadTimestep(f"t={t} outside [0, {self.t_steps}]")
@@ -69,9 +64,8 @@ def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSc
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise BadRange(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
     betas = np.linspace(beta_start, beta_end, t_steps)
-    alphas = 1.0 - betas
-    alpha_bars = np.concatenate([[1.0], np.cumprod(alphas)])
-    return NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+    alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
+    return NoiseSchedule(betas=betas, alpha_bars=alpha_bars)
 
 
 def forward_sample(x0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:
@@ -99,7 +93,7 @@ def ddpm_step(
     if x_t.shape != eps_pred.shape:
         raise ShapeMismatch(f"x_t {x_t.shape} vs eps_pred {eps_pred.shape}")
     beta = s.beta(t)
-    mean = (x_t - beta / np.sqrt(1.0 - s.alpha_bar(t)) * eps_pred) / np.sqrt(s.alpha(t))
+    mean = (x_t - beta / np.sqrt(1.0 - s.alpha_bar(t)) * eps_pred) / np.sqrt(1.0 - beta)
     if z is None:
         return mean
     z = np.asarray(z, dtype=np.float64)

@@ -203,17 +203,16 @@ def evaluate(
     shape+color for the center) all appear in the conditioning prompt for
     that region; samples whose prompt leaves a region empty are excluded
     from that region's denominator. center_mse is measured before any
-    center copying. Fewer than one sample to score raises ``ValueError``.
+    center copying. n is clipped to the dataset's size; then fewer than one
+    sample, an unknown prompt mode or too few prompts raises ``ValueError``.
     """
-    if prompt_mode not in ("dataset", "unconditional", "custom"):
-        raise ValueError(f"unknown prompt mode {prompt_mode!r}")
-    if prompt_mode == "custom" and (custom_prompts is None or len(custom_prompts) < n):
-        raise ValueError("custom prompt mode needs one prompt per sample")
     n = min(n, len(samples))
     if n < 1:
         raise ValueError(f"nothing to evaluate: n = {n}")
     prompts = {"dataset": [s.caption for s in samples], "unconditional": [UNCONDITIONAL] * n,
-               "custom": custom_prompts}[prompt_mode]
+               "custom": custom_prompts}.get(prompt_mode)
+    if prompts is None or len(prompts) < n:
+        raise ValueError(f"prompt mode {prompt_mode!r} is unknown or has fewer than {n} prompts")
     cfg = params.cfg
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

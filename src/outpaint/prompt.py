@@ -111,9 +111,6 @@ class Vocab:
     def size(self) -> int:
         return N_RESERVED + len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._to_id
-
     def id_of(self, word: str) -> int:
         return self._to_id.get(word, UNK_ID)
 

@@ -239,7 +239,7 @@ def build_dataset(
 
 
 # -- on-disk layout --------------------------------------------------------
-# manifest.tsv: one record per line, `seed<TAB>image_path<TAB>mask_path<TAB>caption`
+# manifest.tsv: `seed<TAB>image_path<TAB>mask_path<TAB>caption` lines, paths inside the dataset
 
 
 def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) -> None:
@@ -259,6 +259,11 @@ def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) 
 
 
 def load_dataset(in_dir) -> tuple[list[SynthSample], list[int]]:
+    def inside(rel):
+        if os.path.isabs(rel) or os.pardir in rel.split(os.sep):
+            raise ValueError(f"{in_dir}: manifest path {rel!r} leaves the dataset directory")
+        return os.path.join(in_dir, rel)
+
     samples = []
     seeds = []
     with open(os.path.join(in_dir, "manifest.tsv"), encoding="utf-8") as fh:
@@ -269,8 +274,8 @@ def load_dataset(in_dir) -> tuple[list[SynthSample], list[int]]:
             seed_s, img_rel, mask_rel, caption = line.split("\t")
             samples.append(
                 SynthSample(
-                    image=ppm.read_ppm(os.path.join(in_dir, img_rel)),
-                    pixel_mask=ppm.read_pgm(os.path.join(in_dir, mask_rel)),
+                    image=ppm.read_ppm(inside(img_rel)),
+                    pixel_mask=ppm.read_pgm(inside(mask_rel)),
                     caption=parse(caption),
                 )
             )

@@ -279,15 +279,15 @@ def softmax_rows(x) -> Tensor:
     return _record(y, (x,), vjp)
 
 
-def layernorm_rows(x, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean, unit variance (no gain/bias)."""
+def layernorm_rows(x) -> Tensor:
+    """Normalize each row to zero mean, unit variance (epsilon 1e-5, no gain/bias)."""
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeMismatch(f"layernorm_rows needs a 2-d tensor, got {x.shape}")
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     y = xc * inv
 
     def vjp(g):

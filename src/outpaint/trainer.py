@@ -128,12 +128,6 @@ def read_config_file(path) -> dict[str, str]:
     return mapping
 
 
-def load_config(path, overrides: dict[str, str] | None = None) -> TrainConfig:
-    mapping = read_config_file(path)
-    mapping.update(overrides or {})
-    return config_from_mapping(mapping)
-
-
 # -- optimizer -------------------------------------------------------------
 
 

@@ -351,6 +351,42 @@ def test_eval_swapped_mode(tmp_path, toy_run):
     assert os.path.exists(os.path.join(out, "report.txt"))
 
 
+def test_eval_clips_n_to_the_dataset_in_every_mode(tmp_path, toy_run, capsys):
+    _, run_dir = toy_run
+    data = str(tmp_path / "five")
+    assert run(["gen-data", "--out", data, "--n", "5", "--seed", "3",
+                "--image-size", "12", "--center-size", "8"]) == 0
+    for mode in ("dataset", "swapped"):
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", run_dir + "/model.ckpt", "--data", data, "--n", "10",
+                    "--mode", mode, "--steps", "2", "--out", str(tmp_path / mode)]) == 0, mode
+        assert "n_samples = 5\n" in capsys.readouterr().out, mode
+
+
+def test_bad_sampler_steps_exit_2_and_write_nothing(tmp_path, toy_run, capsys):
+    data, run_dir = toy_run
+    ckpt = run_dir + "/model.ckpt"
+    out = tmp_path / "out"
+    assert run(["sample", "--ckpt", ckpt, "--steps", "0", "--out", str(out / "x.ppm")]) == cli.EXIT_USAGE
+    assert run(["eval", "--ckpt", ckpt, "--data", data, "--steps", "-1", "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("config error" in line for line in err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--n", "0"],
+    ["gen-data", "--n", "-3"],
+    ["ablate", "--eval-n", "0"] + TOY_FLAGS,
+])
+def test_count_flags_below_1_exit_2_and_write_nothing(tmp_path, toy_run, monkeypatch, argv):
+    monkeypatch.setattr(TR, "run_training", lambda *a, **k: pytest.fail("an ablation arm trained"))
+    out = tmp_path / "out"
+    data = ["--data", toy_run[0]] if argv[0] == "ablate" else []
+    assert run(argv + data + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2():
     assert run([]) == cli.EXIT_USAGE
     assert run(["gen-data"]) == cli.EXIT_USAGE  # missing required flags

@@ -85,7 +85,7 @@ def test_detector_deterministic_on_noise():
     b = EV.detect_keywords(img, mask)
     assert a == b
     for kw in a[0] + a[1]:
-        assert kw in VOCAB
+        assert kw in VOCAB.words
 
 
 def test_detector_gray_image_tie_order():
@@ -216,3 +216,18 @@ def test_evaluate_rejects_bad_modes():
     with pytest.raises(ValueError):
         EV.evaluate(params, cfg.schedule(), samples, 2, VOCAB, prompt_mode="custom",
                     custom_prompts=[CsPrompt()])
+    with pytest.raises(ValueError):
+        EV.evaluate(params, cfg.schedule(), samples, 2, VOCAB, prompt_mode="custom")
+
+
+def test_custom_prompts_are_counted_after_n_is_clipped(monkeypatch):
+    # one custom prompt per sample is enough however large n is, as in dataset mode
+    cfg, samples, params = small_setup()
+    import outpaint.evaluation as module
+
+    monkeypatch.setattr(module, "ddim_sample", lambda params, schedule, image, *rest: image)
+    swapped = EV.swap_surrounding_colors([s.caption for s in samples], seed=3)
+    for mode, custom in (("dataset", None), ("custom", swapped)):
+        report = EV.evaluate(params, cfg.schedule(), samples, len(samples) + 5, VOCAB,
+                             prompt_mode=mode, custom_prompts=custom)
+        assert report.n_samples == len(samples)

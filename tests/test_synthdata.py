@@ -1,10 +1,14 @@
+import contextlib
+import io
 import itertools
+import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from outpaint import cli
 from outpaint import ppm
 from outpaint import synthdata as SD
 from outpaint.evaluation import detect_keywords
@@ -36,7 +40,7 @@ def test_caption_keywords_all_in_vocabulary():
     for seed in range(100):
         s = SD.generate(seed)
         for kw in s.caption.center + s.caption.surrounding:
-            assert kw in vocab
+            assert kw in vocab.words
 
 
 def test_detector_round_trip_on_generated_samples():
@@ -226,3 +230,88 @@ def test_image_readers_load_or_raise_bad_image_file(raw):
                 continue
             assert img.ndim == rank and img.size > 0
             assert img.min() >= -1.0 and img.max() <= 1.0
+
+
+# -- manifest.tsv ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest") / "data"
+    samples, seeds = SD.build_dataset(2, 0, SD.SynthSpec(image_size=12, center_size=8))
+    SD.save_dataset(samples, seeds, root)
+    return root
+
+
+@contextlib.contextmanager
+def manifest(root, raw: bytes):
+    """The dataset at ``root`` with ``raw`` as its manifest, for the duration."""
+    path = root / "manifest.tsv"
+    saved = path.read_bytes()
+    path.write_bytes(raw)
+    try:
+        yield root
+    finally:
+        path.write_bytes(saved)
+
+
+def escaping_paths(root, kind):
+    """Paths to a real file of the dataset that leave its directory on the way."""
+    return [str(root / kind), f"../{root.name}/{kind}", f"images/../{kind}"]
+
+
+@pytest.mark.parametrize("column,kind", [(1, "images/00000.ppm"), (2, "masks/00000.pgm")])
+@pytest.mark.parametrize("escape", range(3))
+def test_manifest_path_outside_the_dataset_is_rejected(manifest_dir, column, kind, escape):
+    fields = ["0", "images/00000.ppm", "masks/00000.pgm", "Center:; Surrounding:"]
+    fields[column] = escaping_paths(manifest_dir, kind)[escape]
+    with manifest(manifest_dir, "\t".join(fields).encode() + b"\n"), \
+            pytest.raises(ValueError, match="leaves the dataset directory"):
+        SD.load_dataset(manifest_dir)
+
+
+_TEXT = st.text(st.characters(blacklist_characters="\t\n\r"), max_size=10)  # keeps fields and lines apart
+_WORDS = st.sampled_from(SD.vocabulary().words) | st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+_SEEDS = st.integers(-5, 10**6).map(str)
+_IMAGES = st.sampled_from(["images/00000.ppm", "images/00001.ppm"])
+_MASKS = st.sampled_from(["masks/00000.pgm", "masks/00001.pgm"])
+_CAPTIONS = st.tuples(st.lists(_WORDS, max_size=3), st.lists(_WORDS, max_size=3)).map(
+    lambda cs: f"Center:{','.join(cs[0])}; Surrounding:{','.join(cs[1])}")
+_ROWS = (
+    st.tuples(_SEEDS, _IMAGES, _MASKS, _CAPTIONS)  # well formed; unknown words load as UNK tokens
+    | st.tuples(_SEEDS | _TEXT, _IMAGES | _MASKS | _TEXT, _MASKS | _IMAGES | _TEXT, _CAPTIONS | _TEXT)
+    | st.lists(_TEXT, max_size=6)  # mostly wrong field counts
+).map(list)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROWS, max_size=4), escape=st.none() | st.tuples(st.integers(0, 3), st.integers(1, 2),
+       st.integers(0, 2)), junk=st.none() | st.tuples(st.binary(min_size=1, max_size=4), st.integers(0, 999)))
+def test_manifest_lines_load_or_raise(manifest_dir, rows, escape, junk):
+    """Every manifest loads or raises ``ValueError``/``OSError``; one with a
+    path that leaves the dataset raises, and ``train`` on a manifest that
+    raises exits 3 with one line on stderr."""
+    rows = [list(r) for r in rows]
+    if escape is not None and rows:  # one row's image or mask path leaves the dataset
+        row, column, kind = escape
+        rows[row % len(rows)] = ["0", "images/00000.ppm", "masks/00000.pgm", "Center:; Surrounding:"]
+        rows[row % len(rows)][column] = escaping_paths(manifest_dir, "images/00000.ppm")[kind]
+    leaves = any(len(r) == 4 and (p.startswith("/") or ".." in p.split("/")) for r in rows for p in r[1:3])
+    raw = "\n".join("\t".join(r) for r in rows).encode()
+    if junk is not None:  # stray bytes, often not UTF-8; they may also break up the escaping path
+        at = junk[1] % (len(raw) + 1)
+        raw, leaves = raw[:at] + junk[0] + raw[at:], False
+    with manifest(manifest_dir, raw):
+        try:
+            samples, seeds = SD.load_dataset(manifest_dir)
+        except (ValueError, OSError):
+            pass
+        else:
+            event("loads")
+            assert not leaves and len(samples) == len(seeds)
+            return
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["train", "--data", str(manifest_dir), "--out", f"{tmp}/run", "--image-size", "12"])
+            assert not os.path.exists(f"{tmp}/run")
+    assert code == cli.EXIT_DATA, err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from outpaint import cli
 from outpaint import denoiser as DN
 from outpaint import synthdata as SD
 from outpaint import trainer as TR
@@ -100,12 +101,18 @@ def test_clip_gradients_scales_to_max_norm():
 # -- config -------------------------------------------------------------------
 
 
+def config_via_cli(path, *flags):
+    """A config as `outpaint train --config <path> <flags>` builds it."""
+    args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o", "--config", str(path), *flags])
+    return cli._config_from_args(args)
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text(
         "# toy run\niterations = 12\nlearning_rate = 0.01\na_mode = constant:0.25\n\nseed=9 # inline\n"
     )
-    cfg = TR.load_config(path)
+    cfg = config_via_cli(path)
     assert cfg.iterations == 12
     assert cfg.learning_rate == 0.01
     assert cfg.a_mode == "constant:0.25"
@@ -116,7 +123,7 @@ def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("bogus_key = 1\n")
     with pytest.raises(TR.ConfigError):
-        TR.load_config(path)
+        config_via_cli(path)
 
 
 def test_config_bad_value_rejected():
@@ -128,9 +135,10 @@ def test_config_bad_value_rejected():
 
 def test_config_overrides_win(tmp_path):
     path = tmp_path / "train.cfg"
-    path.write_text("iterations = 12\n")
-    cfg = TR.load_config(path, overrides={"iterations": "5"})
+    path.write_text("iterations = 12\nseed = 9\n")
+    cfg = config_via_cli(path, "--iterations", "5")
     assert cfg.iterations == 5
+    assert cfg.seed == 9  # keys no flag overrides still come from the file
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -1e-3])
@@ -172,7 +180,7 @@ def test_config_file_bytes_load_or_raise_config_error(config_dir, raw):
     path = config_dir / "fuzz.cfg"
     path.write_bytes(raw)
     try:
-        assert isinstance(TR.load_config(path), TR.TrainConfig)
+        assert isinstance(config_via_cli(path), TR.TrainConfig)
     except TR.ConfigError:
         pass
 
