@@ -9,6 +9,7 @@ Every command is bit-reproducible given the same flags, seeds and inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -30,12 +31,19 @@ EXIT_CHECKPOINT = 4
 DATA_ERRORS = (OSError, ValueError)  # MalformedPrompt, BadImageFile and the like are ValueErrors
 
 
-def count(text: str) -> int:
-    """Argparse type of the flags that count samples: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def bounded(parse, lo, hi=math.inf):
+    """Argparse type: ``parse(text)``, refused unless lo <= value <= hi (NaN never is)."""
+    def check(text: str):
+        value = parse(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
+        return value
+    check.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return check
+
+
+count = bounded(int, 1)  # flags that count samples
+seed = bounded(int, 0)  # numpy seed sequences refuse negative entropy
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,10 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-data", help="write a synthetic dataset")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--n", type=count, required=True, help="number of samples")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=seed, default=0)
     gen.add_argument("--image-size", type=int, default=16)
     gen.add_argument("--center-size", type=int, default=8)
-    gen.add_argument("--uncond-fraction", type=float, default=0.0)
+    gen.add_argument("--uncond-fraction", type=bounded(float, 0, 1), default=0.0)
     gen.add_argument("--irregular", action="store_true", help="blob masks instead of the center square")
 
     train = sub.add_parser("train", help="fine-tune the denoiser on a dataset")
@@ -61,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--image", help="source PPM providing the known content (defaults to blank)")
     sample.add_argument("--mask", default="center", help="mask PGM path, or 'center' for the centered square")
     sample.add_argument("--steps", type=int, default=None, help="sampler steps (default: checkpoint setting)")
-    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--seed", type=seed, default=0)
     sample.add_argument("--copy", action="store_true", help="paste the source center into the result")
     sample.add_argument("--out", required=True, help="output PPM path")
 
@@ -71,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--n", type=int, default=100)
     ev.add_argument("--mode", choices=("dataset", "unconditional", "swapped"), default="dataset")
     ev.add_argument("--steps", type=int, default=None)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=seed, default=0)
     ev.add_argument("--copy", action="store_true")
     ev.add_argument("--out", required=True, help="report directory")
 
@@ -232,7 +240,7 @@ def main(argv=None) -> int:
         # image raises NonFiniteTraining or NonFiniteImage, reported once below
         with np.errstate(over="ignore", invalid="ignore"):
             return command(args)
-    except TR.ConfigError as exc:
+    except (TR.ConfigError, SD.BadGeometry) as exc:  # BadGeometry only comes from gen-data's flags
         print(f"outpaint: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TR.CorruptCheckpoint as exc:

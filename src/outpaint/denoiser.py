@@ -262,15 +262,6 @@ def _unpatchify(tokens: Tensor, cfg: DenoiserConfig) -> Tensor:
     return T.reshape(t, cfg.image_shape)
 
 
-def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return T.add(T.mul(T.layernorm_rows(x), gain), bias)
-
-
-def _feed_forward(x: Tensor, blk: BlockParams) -> Tensor:
-    h = T.gelu(T.add(T.matmul(x, blk.ff_w1), blk.ff_b1))
-    return T.add(T.matmul(h, blk.ff_w2), blk.ff_b2)
-
-
 @dataclass
 class Conditioning:
     """What stays fixed while one image is denoised."""
@@ -309,8 +300,8 @@ def time_embedding(params: DenoiserParams, ts) -> Tensor:
     if bad.size:
         raise ValueError(f"t={bad[0]:g} outside [0, {cfg.t_steps}]")
     rows = Tensor(sinusoidal_embedding(ts, cfg.d_model))
-    h = T.gelu(T.add(T.matmul(rows, params.time_w1), params.time_b1))
-    return T.add(T.matmul(h, params.time_w2), params.time_b2)
+    h = T.gelu(T.matmul(rows, params.time_w1, params.time_b1))
+    return T.matmul(h, params.time_w2, params.time_b2)
 
 
 def denoise(params: DenoiserParams, x_t: np.ndarray, temb: Tensor, cond: Conditioning) -> Tensor:
@@ -321,21 +312,21 @@ def denoise(params: DenoiserParams, x_t: np.ndarray, temb: Tensor, cond: Conditi
         raise ShapeMismatch(f"expected image shape {cfg.image_shape}, got {x_t.shape}")
 
     patches = np.concatenate([patchify(x_t, cfg.patch_size), cond.known], axis=1)
-    x = T.add(T.matmul(Tensor(patches), params.patch_w), params.patch_b)
+    x = T.matmul(Tensor(patches), params.patch_w, params.patch_b)
     x = T.add(x, Tensor(position_grid(cfg)))
     x = T.add(x, temb)
 
     for blk, text in zip(params.blocks, cond.text):
-        h = _layer_norm(x, blk.ln1_g, blk.ln1_b)
+        h = T.layernorm_rows(x, blk.ln1_g, blk.ln1_b)
         x = T.add(x, A.cross_attention(h, h, blk.self_attn))
-        h = _layer_norm(x, blk.ln2_g, blk.ln2_b)
+        h = T.layernorm_rows(x, blk.ln2_g, blk.ln2_b)
         x = T.add(x, A.routed_attention(h, text, blk.cross))
-        h = _layer_norm(x, blk.ln3_g, blk.ln3_b)
-        x = T.add(x, _feed_forward(h, blk))
+        h = T.layernorm_rows(x, blk.ln3_g, blk.ln3_b)
+        h = T.gelu(T.matmul(h, blk.ff_w1, blk.ff_b1))
+        x = T.add(x, T.matmul(h, blk.ff_w2, blk.ff_b2))
 
-    x = _layer_norm(x, params.out_ln_g, params.out_ln_b)
-    out = T.add(T.matmul(x, params.out_w), params.out_b)
-    return _unpatchify(out, cfg)
+    x = T.layernorm_rows(x, params.out_ln_g, params.out_ln_b)
+    return _unpatchify(T.matmul(x, params.out_w, params.out_b), cfg)
 
 
 def forward(

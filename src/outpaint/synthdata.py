@@ -55,6 +55,13 @@ class SynthSpec:
     image_size: int = 16
     center_size: int = 8
 
+    def __post_init__(self):
+        # below 8 px the large/small shape renders coincide, so captions would no longer be
+        # recoverable from pixels; above 1024 px no model trains on it (DenoiserConfig's ceiling)
+        if self.image_size % 2 or self.center_size % 2 or not 8 <= self.center_size < self.image_size <= 1024:
+            raise BadGeometry(f"need even sizes with 8 <= center_size < image_size <= 1024, "
+                              f"got {self.center_size}/{self.image_size}")
+
 
 DEFAULT_SPEC = SynthSpec()
 
@@ -168,12 +175,6 @@ def render_surrounding_field(texture: str, color: str, qualifier: str, image_siz
 
 def generate(seed: int, spec: SynthSpec = DEFAULT_SPEC) -> SynthSample:
     """Render one sample; captions are correct by construction."""
-    if not spec.center_size < spec.image_size:
-        raise BadGeometry(f"center {spec.center_size} must be smaller than image {spec.image_size}")
-    if spec.center_size < 8:
-        # below 8 px the large/small shape renders coincide, so captions
-        # would no longer be recoverable from pixels
-        raise BadGeometry(f"center_size must be >= 8, got {spec.center_size}")
     rng = np.random.default_rng(seed)
     shape = SHAPES[rng.integers(len(SHAPES))]
     center_color = COLORS[rng.integers(len(COLORS))]

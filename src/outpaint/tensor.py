@@ -8,9 +8,12 @@ recorded graph is an implicit tape whose order is already topological:
 once in reverse, accumulating gradients additively into leaf tensors that
 require them.
 
-Everything is float64 so finite-difference checks can be tight. There is
-no fusion, no parallelism and no in-place graph surgery; the tape is
-rebuilt on every forward pass.
+Everything is float64 so finite-difference checks can be tight. A dense
+layer (``matmul`` with ``bias``) and an affine layer norm (``layernorm_rows``
+with ``gain`` and ``bias``) are one node each. Kernels update their own
+temporaries in place, never an input or the incoming gradient (``add`` hands
+one array to both parents). There is no parallelism and no in-place graph
+surgery; the tape is rebuilt on every forward pass.
 """
 
 from __future__ import annotations
@@ -170,18 +173,31 @@ def scale(a, s: float) -> Tensor:
 # -- linear algebra -----------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
+def _per_column(t, width: int, what: str) -> Tensor:
+    t = as_tensor(t)
+    if t.shape != (width,):
+        raise ShapeMismatch(f"{what} must have shape ({width},), got {t.shape}")
+    return t
+
+
+def matmul(a, b, bias=None) -> Tensor:
+    """``a @ b``, plus ``bias`` (one entry per output column) if given."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeMismatch(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul inner dims differ: {a.shape} x {b.shape}")
     data = a.data @ b.data
+    if bias is not None:
+        bias = _per_column(bias, b.shape[1], "matmul bias")
+        data += bias.data
 
     def vjp(g):
-        return (g @ b.data.T, a.data.T @ g)
+        ga = g @ b.data.T if a.requires_grad else None
+        gb = a.data.T @ g if b.requires_grad else None
+        return (ga, gb) if bias is None else (ga, gb, g.sum(axis=0))
 
-    return _record(data, (a, b), vjp)
+    return _record(data, (a, b) if bias is None else (a, b, bias), vjp)
 
 
 def transpose(a) -> Tensor:
@@ -269,33 +285,46 @@ def softmax_rows(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeMismatch(f"softmax_rows needs a 2-d tensor, got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = x.data - np.maximum.reduce(x.data, axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=1, keepdims=True)
 
-    def vjp(g):
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
+    def vjp(g):  # y * (g - sum_rows(g * y))
+        gy = g * y
+        np.subtract(g, np.add.reduce(gy, axis=1, keepdims=True), out=gy)
+        return (np.multiply(y, gy, out=gy),)
 
     return _record(y, (x,), vjp)
 
 
-def layernorm_rows(x) -> Tensor:
-    """Normalize each row to zero mean, unit variance (epsilon 1e-5, no gain/bias)."""
+def _row_mean(a: np.ndarray) -> np.ndarray:  # a.mean(axis=1, keepdims=True) is this sum and divide
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
+
+def layernorm_rows(x, gain=None, bias=None) -> Tensor:
+    """Normalize each row to zero mean, unit variance (epsilon 1e-5); given
+    ``gain`` and ``bias`` (one entry per column each), return ``y * gain + bias``."""
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeMismatch(f"layernorm_rows needs a 2-d tensor, got {x.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    y = xc * inv
+    y = x.data - _row_mean(x.data)
+    inv = 1.0 / np.sqrt(_row_mean(y * y) + 1e-5)
+    y *= inv
+    data = y
+    if gain is not None:
+        gain, bias = _per_column(gain, x.shape[1], "gain"), _per_column(bias, x.shape[1], "bias")
+        data = y * gain.data
+        data += bias.data
 
-    def vjp(g):
-        gm = g.mean(axis=1, keepdims=True)
-        gym = (g * y).mean(axis=1, keepdims=True)
-        return ((g - gm - y * gym) * inv,)
+    def vjp(g):  # (g' - mean_rows(g') - y * mean_rows(g' * y)) * inv, g' = g * gain
+        gn = g if gain is None else g * gain.data
+        tmp = gn * y
+        gx = gn - _row_mean(gn)
+        gx -= np.multiply(y, _row_mean(tmp), out=tmp)
+        gx *= inv
+        return (gx,) if gain is None else (gx, np.multiply(g, y, out=tmp).sum(axis=0), g.sum(axis=0))
 
-    return _record(y, (x,), vjp)
+    return _record(data, (x,) if gain is None else (x, gain, bias), vjp)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -304,12 +333,19 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(x) -> Tensor:
     x = as_tensor(x)
-    phi = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
+    phi = x.data * _INV_SQRT2  # phi = 0.5 * (1 + erf(x / sqrt 2))
+    _erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     data = x.data * phi
 
-    def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (phi + x.data * pdf),)
+    def vjp(g):  # g * (phi + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
+        d = -0.5 * x.data
+        np.exp(np.multiply(d, x.data, out=d), out=d)
+        d *= _INV_SQRT2PI
+        np.multiply(x.data, d, out=d)
+        d += phi
+        return (np.multiply(g, d, out=d),)
 
     return _record(data, (x,), vjp)
 

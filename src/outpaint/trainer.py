@@ -72,9 +72,11 @@ class TrainConfig(DN.DenoiserConfig):
         for name in ("iterations", "batch_size", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("learning_rate", "grad_clip"):  # grad_clip 0 means no clipping
+        for name in ("learning_rate", "grad_clip", "seed"):  # grad_clip 0 means no clipping
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 <= self.uncond_fraction <= 1:
+            raise ConfigError(f"uncond_fraction must be in [0, 1], got {self.uncond_fraction}")
         parse_fusion_mode(self.a_mode)
 
     def schedule(self) -> D.NoiseSchedule:
@@ -142,16 +144,19 @@ def adam_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """In-place bias-corrected Adam update of one parameter array."""
+    """In-place bias-corrected Adam update of one parameter array (0-d too); two scratch
+    arrays hold every temporary of the textbook formula, evaluated in its written order."""
     if param.shape != grad.shape:
         raise T.ShapeMismatch(f"param {param.shape} vs grad {grad.shape}")
+    step, denom = np.empty_like(param), np.empty_like(param)
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(1.0 - beta1, grad, out=step)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    v += np.multiply(np.multiply(1.0 - beta2, grad, out=step), grad, out=step)
+    np.sqrt(np.divide(v, 1.0 - beta2**t, out=denom), out=denom)  # sqrt(v_hat)
+    denom += eps
+    np.multiply(lr, np.divide(m, 1.0 - beta1**t, out=step), out=step)  # lr * m_hat
+    param -= np.divide(step, denom, out=step)
 
 
 class Adam:

@@ -84,7 +84,8 @@ def test_gen_data_paper_geometry_mask_fraction(tmp_path):
 
 def test_gen_data_bad_geometry_exit_code(tmp_path):
     assert run(["gen-data", "--out", str(tmp_path / "x"), "--n", "2",
-                "--image-size", "15", "--center-size", "8"]) == cli.EXIT_DATA
+                "--image-size", "15", "--center-size", "8"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_data_irregular_masks(tmp_path):
@@ -384,6 +385,28 @@ def test_count_flags_below_1_exit_2_and_write_nothing(tmp_path, toy_run, monkeyp
     out = tmp_path / "out"
     data = ["--data", toy_run[0]] if argv[0] == "ablate" else []
     assert run(argv + data + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--n", "2", "--seed", "-1"],
+    ["gen-data", "--n", "2", "--uncond-fraction", "2"],
+    ["gen-data", "--n", "2", "--uncond-fraction", "nan"],
+    ["gen-data", "--n", "2", "--image-size", "13"],
+    ["gen-data", "--n", "2", "--center-size", "0"],
+    ["gen-data", "--n", "2", "--image-size", "393216"],
+    ["sample", "--seed", "-1"],
+    ["eval", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["train", "--uncond-fraction", "5"],
+], ids=" ".join)
+def test_bad_seed_fraction_or_geometry_flag_exits_2_and_writes_nothing(tmp_path, toy_run, argv):
+    data, run_dir = toy_run
+    inputs = {"gen-data": [], "sample": ["--ckpt", run_dir + "/model.ckpt"],
+              "eval": ["--ckpt", run_dir + "/model.ckpt", "--data", data],
+              "train": ["--data", data] + TOY_FLAGS}[argv[0]]
+    out = tmp_path / "out"
+    assert run(argv + inputs + ["--out", str(out)]) == cli.EXIT_USAGE
     assert not out.exists()
 
 

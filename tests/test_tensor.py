@@ -165,6 +165,11 @@ def test_no_grad_blocks_recording():
         ("gelu", lambda x: T.sum_all(T.gelu(x)), (3, 4)),
         ("mean", lambda x: T.mean_all(T.mul(x, x)), (3, 4)),
         ("sum", lambda x: T.sum_all(T.mul(x, x)), (3, 4)),
+        ("matmul_bias", lambda x: T.sum_all(T.gelu(T.matmul(Tensor(np.linspace(-1, 1, 6).reshape(3, 2)), Tensor(np.linspace(1, -1, 8).reshape(2, 4)), x))), (4,)),
+        ("matmul_bias_left", lambda x: T.sum_all(T.gelu(T.matmul(x, Tensor(np.linspace(1, -1, 8).reshape(4, 2)), Tensor([0.3, -0.2])))), (3, 4)),
+        ("layernorm_affine", lambda x: T.sum_all(T.gelu(T.layernorm_rows(x, Tensor(np.linspace(0.5, 1.5, 4)), Tensor(np.linspace(-1, 1, 4))))), (3, 4)),
+        ("layernorm_gain", lambda x: T.sum_all(T.gelu(T.layernorm_rows(Tensor(np.linspace(-2, 3, 12).reshape(3, 4) ** 2), x, Tensor(np.linspace(-1, 1, 4))))), (4,)),
+        ("layernorm_bias", lambda x: T.sum_all(T.gelu(T.layernorm_rows(Tensor(np.linspace(-2, 3, 12).reshape(3, 4) ** 2), Tensor(np.linspace(0.5, 1.5, 4)), x))), (4,)),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, fn, shape):
@@ -208,3 +213,87 @@ def test_grad_shape_matches_data_shape():
     backward(T.sum_all(T.softmax_rows(x)))
     assert x.grad.shape == x.data.shape
 
+
+# -- folded nodes: matmul with bias, layernorm_rows with gain and bias -------
+
+
+def _forward_and_grads(fn, arrays, weights):
+    """fn's output and the gradients of sum(fn(*arrays) * weights) by each input."""
+    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*ts)
+    backward(T.sum_all(T.mul(out, Tensor(weights))))
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("folded,composed,shapes", [
+    (lambda x, w, b: T.matmul(x, w, b), lambda x, w, b: T.add(T.matmul(x, w), b), [(5, 4), (4, 3), (3,)]),
+    (lambda x, g, b: T.layernorm_rows(x, g, b), lambda x, g, b: T.add(T.mul(T.layernorm_rows(x), g), b),
+     [(5, 4), (4,), (4,)]),
+])
+def test_folded_node_equals_its_composed_form_bitwise(folded, composed, shapes):
+    g = rng(12)
+    arrays = [g.uniform(-2, 2, s) for s in shapes]
+    weights = g.uniform(-1, 1, (5, shapes[1][-1]))
+    want = _forward_and_grads(composed, arrays, weights)
+    got = _forward_and_grads(folded, arrays, weights)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_folded_node_rejects_a_wrong_bias_or_gain_shape():
+    x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+    for bias in (np.zeros(3), np.zeros((1, 4)), np.zeros(())):
+        with pytest.raises(ShapeMismatch):
+            T.matmul(x, w, bias)
+    for gain, bias in ((np.ones(4), np.zeros(3)), (np.ones(3), np.zeros(4)), (np.ones((1, 3)), np.zeros(3))):
+        with pytest.raises(ShapeMismatch):
+            T.layernorm_rows(x, gain, bias)
+
+
+# -- kernels never write to what they read -----------------------------------
+
+KERNELS = {  # name: (kernel, its inputs after x)
+    "gelu": (T.gelu, []),
+    "softmax_rows": (T.softmax_rows, []),
+    "layernorm_rows": (T.layernorm_rows, []),
+    "layernorm_rows_affine": (T.layernorm_rows, [np.linspace(0.5, 1.5, 4), np.linspace(-1, 1, 4)]),
+    "matmul": (T.matmul, [np.linspace(-1, 1, 16).reshape(4, 4)]),
+    "matmul_bias": (T.matmul, [np.linspace(-1, 1, 16).reshape(4, 4), np.linspace(0, 1, 4)]),
+}
+
+
+def _apply(name, x):
+    kernel, extra = KERNELS[name]
+    return kernel(x, *(Tensor(a.copy(), requires_grad=True) for a in extra))
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_leaves_its_inputs_and_incoming_gradient_unchanged(name):
+    g = rng(13)
+    x0 = g.uniform(-2, 2, (3, 4))
+    out = _apply(name, Tensor(x0.copy(), requires_grad=True))
+    grad = g.uniform(-1, 1, out.shape)
+    incoming = grad.copy()
+    out._vjp(grad)
+    assert np.array_equal(grad, incoming)
+    inputs = [x0] + KERNELS[name][1]
+    assert len(out._parents) == len(inputs)
+    assert all(np.array_equal(p.data, a) for p, a in zip(out._parents, inputs))
+
+
+def test_one_gradient_array_feeding_every_kernel_reaches_each_unchanged():
+    # add hands the same gradient array to both parents, so every kernel below sees one array
+    base = rng(14).uniform(-2, 2, (3, 4))
+    weights = rng(15).uniform(-1, 1, (3, 4))
+
+    def grad_of(names):
+        x = Tensor(base.copy(), requires_grad=True)
+        outs = [_apply(n, x) for n in names]
+        total = outs[0]
+        for o in outs[1:]:
+            total = T.add(total, o)
+        backward(T.sum_all(T.mul(total, Tensor(weights))))
+        return x.grad
+
+    apart = sum(grad_of([n]) for n in KERNELS)
+    for names in (list(KERNELS), list(KERNELS)[::-1]):  # the backward runs the last-made kernel first
+        np.testing.assert_allclose(grad_of(names), apart, rtol=1e-12, atol=1e-12)

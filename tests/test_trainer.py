@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from outpaint import cli
 from outpaint import denoiser as DN
 from outpaint import synthdata as SD
+from outpaint import tensor as T
 from outpaint import trainer as TR
 from outpaint.tensor import Tensor
 
@@ -79,6 +80,21 @@ def test_adam_constant_gradient_step_size_approaches_lr():
             step = abs(float(p[0] - last[0]))
         last = p.copy()
     assert step == pytest.approx(lr, rel=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(), (3, 4)])
+def test_adam_update_equals_the_textbook_formula_bitwise(shape):
+    rng = np.random.default_rng(1)
+    p, m, v = rng.uniform(-1, 1, shape), np.zeros(shape), np.zeros(shape)
+    want_p, want_m, want_v = p.copy(), m.copy(), v.copy()
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        g = rng.uniform(-2, 2, shape)
+        TR.adam_update(p, g, m, v, t=t, lr=lr)
+        want_m = b1 * want_m + (1 - b1) * g
+        want_v = b2 * want_v + (1 - b2) * g * g
+        want_p = want_p - lr * (want_m / (1 - b1**t)) / (np.sqrt(want_v / (1 - b2**t)) + eps)
+    assert np.array_equal(p, want_p) and np.array_equal(m, want_m) and np.array_equal(v, want_v)
 
 
 def test_adam_shape_mismatch():
@@ -161,6 +177,17 @@ def test_schedule_sampler_clip_and_center_rejected(overrides):
         TR.config_from_mapping(overrides)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"seed": "-1"},
+    {"uncond_fraction": "5"},
+    {"uncond_fraction": "-0.5"},
+    {"uncond_fraction": "nan"},
+])
+def test_negative_seed_and_uncond_fraction_outside_unit_interval_rejected(overrides):
+    with pytest.raises(TR.ConfigError, match=next(iter(overrides))):
+        TR.config_from_mapping(overrides)
+
+
 @pytest.fixture(scope="module")
 def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("configs")
@@ -217,6 +244,24 @@ def test_one_step_is_bitwise_reproducible():
     loss_b, sum_b = one_step()
     assert loss_a == loss_b
     assert sum_a == sum_b
+
+
+def next_node_id() -> int:
+    text = repr(T._node_ids)  # "count(<next id>)"; reading it does not advance it
+    return int(text[text.index("(") + 1:-1])
+
+
+def test_default_train_step_records_at_most_744_tensors():
+    """The tape-size guard: perfbench's tensor.nodes on the train workload."""
+    cfg = TR.TrainConfig()
+    samples, _ = SD.build_dataset(8, seed=0)
+    params = TR.init_model(cfg, VOCAB)
+    opt = TR.Adam(params.trainable_parameters(), lr=cfg.learning_rate)
+    rng = TR.step_rng(cfg.seed, 0)
+    batch = [samples[i] for i in rng.integers(0, len(samples), size=cfg.batch_size)]
+    before = next_node_id()
+    TR.train_step(batch, params, opt, cfg.schedule(), rng, VOCAB, cfg.grad_clip)
+    assert next_node_id() - before <= 744
 
 
 def test_zero_learning_rate_freezes_parameters():
