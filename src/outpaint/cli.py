@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
 
-DATA_ERRORS = (OSError, ValueError)  # MalformedPrompt, BadImageFile and the like are ValueErrors
+DATA_ERRORS = (OSError, ValueError, MemoryError)  # MalformedPrompt, BadImageFile and the like are ValueErrors
 
 
 def bounded(parse, lo, hi=math.inf):
@@ -43,7 +43,7 @@ def bounded(parse, lo, hi=math.inf):
 
 
 count = bounded(int, 1)  # flags that count samples
-seed = bounded(int, 0)  # numpy seed sequences refuse negative entropy
+seed = bounded(int, *TR.TrainConfig.range_of("seed"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=seed, default=0)
     gen.add_argument("--image-size", type=int, default=16)
     gen.add_argument("--center-size", type=int, default=8)
-    gen.add_argument("--uncond-fraction", type=bounded(float, 0, 1), default=0.0)
+    gen.add_argument("--uncond-fraction", type=bounded(float, *TR.TrainConfig.range_of("uncond_fraction")), default=0.0)
     gen.add_argument("--irregular", action="store_true", help="blob masks instead of the center square")
 
     train = sub.add_parser("train", help="fine-tune the denoiser on a dataset")
@@ -90,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (train, ab):
         p.add_argument("--config", help="key = value config file")
-        for name in TR.TrainConfig.__dataclass_fields__:
-            p.add_argument(f"--{name.replace('_', '-')}", dest=f"cfg_{name}")
+        for f in fields(TR.TrainConfig):
+            span = "range [{}, {}], ".format(*f.metadata["range"]) if "range" in f.metadata else ""
+            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f"cfg_{f.name}", help=f"{span}default {f.default}")
 
     return parser
 
@@ -136,10 +137,12 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     samples = _load_samples(args.data, cfg)
     vocab = SD.vocabulary()
+    params = TR.init_model(cfg, vocab)  # before the run directory, so a model too large for memory writes nothing
+    opt = TR.Adam(params.trainable_parameters(), lr=cfg.learning_rate)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train_log.tsv")
     with open(log_path, "w", encoding="utf-8") as log_fh:
-        params, opt, losses = TR.run_training(cfg, samples, vocab, out_dir=args.out, log_fh=log_fh)
+        params, opt, losses = TR.run_training(cfg, samples, vocab, params, opt, out_dir=args.out, log_fh=log_fh)
     TR.save_checkpoint(params, opt, cfg, os.path.join(args.out, "model.ckpt"))
     print(f"trained {cfg.iterations} steps; final loss {losses[-1]:.6f}; run dir {args.out}")
     return EXIT_OK

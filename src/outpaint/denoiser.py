@@ -35,34 +35,41 @@ from outpaint.prompt import PromptEmbedding, Vocab
 from outpaint.tensor import ShapeMismatch, Tensor
 
 
+def ranged(default, lo, hi):
+    """A config field that accepts ``lo <= value <= hi``; NaN never does."""
+    return field(default=default, metadata={"range": (lo, hi)})
+
+
 @dataclass(frozen=True)
 class DenoiserConfig:
-    image_size: int = 16
-    channels: int = 3
-    patch_size: int = 2
-    d_model: int = 64
-    n_blocks: int = 4
-    d_text: int = 32
-    l_center: int = 8
-    l_surround: int = 8
-    t_steps: int = 200
+    """Model geometry; the ceilings bound sizes that allocate before any checkpoint tensor could."""
+
+    image_size: int = ranged(16, 2, 1024)
+    channels: int = ranged(3, 1, 64)
+    patch_size: int = ranged(2, 1, 1024)
+    d_model: int = ranged(64, 4, 1024)
+    n_blocks: int = ranged(4, 1, 64)
+    d_text: int = ranged(32, 1, 1024)
+    l_center: int = ranged(8, 1, 1024)
+    l_surround: int = ranged(8, 1, 1024)
+    t_steps: int = ranged(200, 1, 100_000)
 
     def __post_init__(self):
-        for name in ("image_size", "channels", "patch_size", "d_model", "n_blocks", "d_text", "l_center", "l_surround", "t_steps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):  # subclasses' fields too
+            if "range" in f.metadata:
+                value, (lo, hi) = getattr(self, f.name), f.metadata["range"]
+                if not lo <= value <= hi:
+                    raise ValueError(f"{f.name} {value} is outside its range: floor {lo}, ceiling {hi}")
         if self.image_size % self.patch_size:
-            raise ValueError(
-                f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
-            )
+            raise ValueError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.d_model % 4:
             raise ValueError("d_model must be divisible by 4 (2-d sinusoidal positions)")
-        # sizes that allocate before any checkpoint tensor could bound them
-        for name, size, ceiling in (("image_size", self.image_size, 1024), ("token count", self.grid**2, 4096),
-                                    ("l_center", self.l_center, 1024), ("l_surround", self.l_surround, 1024),
-                                    ("t_steps", self.t_steps, 100_000)):
-            if size > ceiling:
-                raise ValueError(f"{name} {size} exceeds its ceiling {ceiling}")
+        if self.grid**2 > 4096:
+            raise ValueError(f"token count {self.grid**2} exceeds its ceiling 4096")
+
+    @classmethod
+    def range_of(cls, name: str) -> tuple:
+        return cls.__dataclass_fields__[name].metadata["range"]
 
     @property
     def image_shape(self) -> tuple[int, int, int]:

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from outpaint import ppm
+from outpaint.denoiser import DenoiserConfig
 from outpaint.prompt import CsPrompt, Vocab, parse, render
 
 
@@ -57,9 +58,10 @@ class SynthSpec:
 
     def __post_init__(self):
         # below 8 px the large/small shape renders coincide, so captions would no longer be
-        # recoverable from pixels; above 1024 px no model trains on it (DenoiserConfig's ceiling)
-        if self.image_size % 2 or self.center_size % 2 or not 8 <= self.center_size < self.image_size <= 1024:
-            raise BadGeometry(f"need even sizes with 8 <= center_size < image_size <= 1024, "
+        # recoverable from pixels; above the model's image_size ceiling no model trains on it
+        ceiling = DenoiserConfig.range_of("image_size")[1]
+        if self.image_size % 2 or self.center_size % 2 or not 8 <= self.center_size < self.image_size <= ceiling:
+            raise BadGeometry(f"need even sizes with 8 <= center_size < image_size <= {ceiling}, "
                               f"got {self.center_size}/{self.image_size}")
 
 

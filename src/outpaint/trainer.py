@@ -14,6 +14,7 @@ import hashlib
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -48,35 +49,26 @@ class NonFiniteTraining(ValueError):
 class TrainConfig(DN.DenoiserConfig):
     """Training hyperparameters on top of the model geometry they train."""
 
-    iterations: int = 3000
-    batch_size: int = 4
-    learning_rate: float = 1e-3
-    seed: int = 0
-    uncond_fraction: float = 0.1
+    iterations: int = DN.ranged(3000, 1, math.inf)
+    batch_size: int = DN.ranged(4, 1, 1024)
+    learning_rate: float = DN.ranged(1e-3, 0.0, sys.float_info.max)
+    seed: int = DN.ranged(0, 0, math.inf)  # numpy seed sequences refuse negative entropy
+    uncond_fraction: float = DN.ranged(0.1, 0.0, 1.0)
     a_mode: str = "learnable"  # learnable | random | constant:<value>
-    beta_start: float = 1e-4
-    beta_end: float = 0.05
-    infer_steps: int = 50
-    center_size: int = 8
-    checkpoint_every: int = 1000
-    grad_clip: float = 1.0
+    beta_start: float = DN.ranged(1e-4, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))  # (0, 1) without its ends
+    beta_end: float = DN.ranged(0.05, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+    infer_steps: int = DN.ranged(50, 1, math.inf)
+    center_size: int = DN.ranged(8, 2, 1024)
+    checkpoint_every: int = DN.ranged(1000, 1, math.inf)
+    grad_clip: float = DN.ranged(1.0, 0.0, sys.float_info.max)  # 0 means no clipping
 
     def __post_init__(self):
         try:
             super().__post_init__()
             self.schedule()
-            D.ddim_timesteps(self.t_steps, self.infer_steps)
             SD.make_center_mask(self.image_size, self.center_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for name in ("iterations", "batch_size", "checkpoint_every"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("learning_rate", "grad_clip", "seed"):  # grad_clip 0 means no clipping
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 0 <= self.uncond_fraction <= 1:
-            raise ConfigError(f"uncond_fraction must be in [0, 1], got {self.uncond_fraction}")
         parse_fusion_mode(self.a_mode)
 
     def schedule(self) -> D.NoiseSchedule:
@@ -87,12 +79,14 @@ def parse_fusion_mode(a_mode: str) -> tuple[str, float | None]:
     """Split an a_mode string into (mode, constant value)."""
     if a_mode in (A.FUSION_LEARNABLE, A.FUSION_RANDOM):
         return a_mode, None
-    if a_mode.startswith(A.FUSION_CONSTANT + ":"):
-        try:
-            return A.FUSION_CONSTANT, float(a_mode.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad constant fusion value in {a_mode!r}") from None
-    raise ConfigError(f"unknown a_mode {a_mode!r}")
+    mode, _, text = a_mode.partition(":")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if mode != A.FUSION_CONSTANT or not math.isfinite(value):
+        raise ConfigError(f"a_mode {a_mode!r} is not learnable, random or constant:<finite number>")
+    return mode, value
 
 
 _PARSERS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(TrainConfig)}
@@ -132,30 +126,22 @@ def read_config_file(path) -> dict[str, str]:
 
 # -- optimizer -------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-def adam_update(
-    param: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    t: int,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+
+def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float) -> None:
     """In-place bias-corrected Adam update of one parameter array (0-d too); two scratch
     arrays hold every temporary of the textbook formula, evaluated in its written order."""
     if param.shape != grad.shape:
         raise T.ShapeMismatch(f"param {param.shape} vs grad {grad.shape}")
     step, denom = np.empty_like(param), np.empty_like(param)
-    m *= beta1
-    m += np.multiply(1.0 - beta1, grad, out=step)
-    v *= beta2
-    v += np.multiply(np.multiply(1.0 - beta2, grad, out=step), grad, out=step)
-    np.sqrt(np.divide(v, 1.0 - beta2**t, out=denom), out=denom)  # sqrt(v_hat)
-    denom += eps
-    np.multiply(lr, np.divide(m, 1.0 - beta1**t, out=step), out=step)  # lr * m_hat
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=step), grad, out=step)
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=denom), out=denom)  # sqrt(v_hat)
+    denom += ADAM_EPS
+    np.multiply(lr, np.divide(m, 1.0 - ADAM_BETA1**t, out=step), out=step)  # lr * m_hat
     param -= np.divide(step, denom, out=step)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import os
 import resource
@@ -218,11 +219,11 @@ _GOOD_HEADER = TR._config_header(TR.TrainConfig())
 _ONE_RECORD = struct.pack("<I", 1)
 
 
-def _toy_checkpoint() -> tuple[bytes, bytes]:
+def _toy_checkpoint(a_mode="learnable") -> tuple[bytes, bytes]:
     """Header and records of a real toy checkpoint; no tensor shape depends on
     t_steps, image_size or the prompt windows."""
     cfg = TR.TrainConfig(t_steps=10, image_size=12, patch_size=3, d_model=16, n_blocks=1, d_text=8,
-                         l_center=4, l_surround=4)
+                         l_center=4, l_surround=4, a_mode=a_mode)
     params = TR.init_model(cfg, SD.vocabulary())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "toy.ckpt")
@@ -234,6 +235,7 @@ def _toy_checkpoint() -> tuple[bytes, bytes]:
 
 
 _TOY_HEADER, _TOY_RECORDS = _toy_checkpoint()
+_CONSTANT_HEADER, _CONSTANT_RECORDS = _toy_checkpoint("constant:0.5")  # no moments for the frozen fusion
 
 HOSTILE_CHECKPOINTS = {
     "huge_tensor_dims": _ckpt(
@@ -243,12 +245,17 @@ HOSTILE_CHECKPOINTS = {
     "header_line_without_equals": _ckpt(b"iterations\n"),
     "non_utf8_header": _ckpt(b"seed=\xff\xfe\n"),
     "non_utf8_tensor_name": _ckpt(_GOOD_HEADER, _ONE_RECORD + struct.pack("<I", 2) + b"\xff\xfe"),
-    # a model of about 300 GiB declared by a header alone
-    "huge_model_header": _ckpt(TR._config_header(TR.TrainConfig(d_model=100000)), struct.pack("<I", 0)),
+    # a model of about 300 GiB declared by a header alone, and one of about 10 GiB inside every ceiling
+    "huge_model_header": _ckpt(_GOOD_HEADER.replace(b"d_model=64\n", b"d_model=100000\n"), struct.pack("<I", 0)),
+    "large_model_header": _ckpt(
+        _GOOD_HEADER.replace(b"d_model=64\nn_blocks=4\nd_text=32\n", b"d_model=1024\nn_blocks=64\nd_text=1024\n"),
+        struct.pack("<I", 0),
+    ),
     # sizes no tensor shape bounds, declared over the records of a real toy model
     "huge_t_steps": _ckpt(_TOY_HEADER.replace(b"t_steps=10\n", b"t_steps=8589934592\n"), _TOY_RECORDS),
     "huge_image_size": _ckpt(_TOY_HEADER.replace(b"image_size=12\n", b"image_size=393216\n"), _TOY_RECORDS),
     "huge_l_center": _ckpt(_TOY_HEADER.replace(b"l_center=4\n", b"l_center=8589934592\n"), _TOY_RECORDS),
+    "nan_constant_fusion": _ckpt(_CONSTANT_HEADER.replace(b"constant:0.5", b"constant:nan"), _CONSTANT_RECORDS),
 }
 # Address-space cap for the child: far above a healthy run, far below any
 # allocation from header sizes, so a regression fails fast instead of paging.
@@ -277,15 +284,40 @@ def test_hostile_checkpoint_exits_4_without_traceback(tmp_path, name):
 
 
 @pytest.mark.parametrize("flag,value", [("--t-steps", "8589934592"), ("--image-size", "393216"),
-                                        ("--l-center", "8589934592")])
+                                        ("--l-center", "8589934592"), ("--d-model", "1000000"),
+                                        ("--d-text", "100000000"), ("--n-blocks", "100000000"),
+                                        ("--batch-size", "10000000000")])
 def test_hostile_size_flag_exits_2_before_any_checkpoint(tmp_path, toy_run, flag, value):
     data, _ = toy_run
     run_dir = tmp_path / "run"
     flags = TOY_FLAGS + ["--checkpoint-every", "1", flag, value]
     done = _capped_cli(["train", "--data", data, "--out", str(run_dir)] + flags)
     assert done.returncode == cli.EXIT_USAGE, done.stderr
-    assert "ceiling" in done.stderr and "Traceback" not in done.stderr
-    assert not list(run_dir.glob("*.bin"))
+    assert "ceiling" in done.stderr and len(done.stderr.splitlines()) == 1
+    assert not run_dir.exists()
+
+
+def test_model_too_large_for_memory_exits_3_and_writes_nothing(tmp_path):
+    # inside every ceiling, but the 3.5 GiB patch projection alone exceeds the child's address space
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", str(data), "--n", "1", "--image-size", "256", "--center-size", "128"]) == 0
+    run_dir = tmp_path / "run"
+    done = _capped_cli(["train", "--data", str(data), "--out", str(run_dir), "--image-size", "256",
+                        "--center-size", "128", "--patch-size", "256", "--d-model", "1024"])
+    assert done.returncode == cli.EXIT_DATA, done.stderr
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and "MemoryError" in err[0], err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_config_flag_help_shows_the_declared_range_and_default(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "400")  # no wrapped help lines
+    assert run([command, "--help"]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    for f in dataclasses.fields(TR.TrainConfig):
+        span = "range [{}, {}], ".format(*f.metadata["range"]) if "range" in f.metadata else ""
+        assert f"--{f.name.replace('_', '-')} " in text and f"{span}default {f.default}\n" in text, f.name
 
 
 def test_bad_beta_end_exits_2_before_any_checkpoint(tmp_path, toy_run, capsys):
@@ -399,6 +431,8 @@ def test_count_flags_below_1_exit_2_and_write_nothing(tmp_path, toy_run, monkeyp
     ["eval", "--seed", "-1"],
     ["train", "--seed", "-1"],
     ["train", "--uncond-fraction", "5"],
+    ["train", "--a-mode", "constant:nan"],
+    ["train", "--a-mode", "constant:inf"],
 ], ids=" ".join)
 def test_bad_seed_fraction_or_geometry_flag_exits_2_and_writes_nothing(tmp_path, toy_run, argv):
     data, run_dir = toy_run

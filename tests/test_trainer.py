@@ -1,8 +1,9 @@
 import hashlib
 import io
+import math
 import os
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -60,10 +61,10 @@ def test_adam_single_step_matches_bias_correction_oracle():
     p0 = p.copy()
     m = np.zeros(5)
     v = np.zeros(5)
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    TR.adam_update(p, g, m, v, t=1, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    lr = 0.01
+    TR.adam_update(p, g, m, v, t=1, lr=lr)
     # independent oracle: at t=1 m_hat = g and sqrt(v_hat) = |g| exactly
-    want = p0 - lr * g / (np.abs(g) + eps)
+    want = p0 - lr * g / (np.abs(g) + TR.ADAM_EPS)
     np.testing.assert_allclose(p, want, atol=1e-12)
 
 
@@ -212,6 +213,37 @@ def test_config_file_bytes_load_or_raise_config_error(config_dir, raw):
         pass
 
 
+# Partners that keep the cross-value rules (divisibility, token count, center
+# mask, schedule order) satisfied while one field sits at a bound.
+_BOUND_PARTNERS = {
+    ("image_size", "lo"): {"center_size": 2},
+    ("image_size", "hi"): {"patch_size": 16},
+    ("patch_size", "hi"): {"image_size": 1024},
+    ("center_size", "hi"): {"image_size": 1024, "patch_size": 16},
+    ("beta_start", "hi"): {"beta_end": TR.TrainConfig.range_of("beta_end")[1]},
+    ("beta_end", "lo"): {"beta_start": TR.TrainConfig.range_of("beta_start")[0]},
+}
+
+
+@pytest.mark.parametrize("f", [f for f in fields(TR.TrainConfig) if f.type in ("int", "float")],
+                         ids=lambda f: f.name)
+def test_every_number_declares_a_range_that_holds_at_its_bounds(f):
+    assert "range" in f.metadata, f"{f.name} declares no range"
+    lo, hi = f.metadata["range"]
+    if f.type == "int":
+        below, above = lo - 1, hi + 1
+    else:
+        below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        with pytest.raises(TR.ConfigError, match=f.name):
+            TR.TrainConfig(**{f.name: math.nan})
+    for side, bound, outside in (("lo", lo, below), ("hi", hi, above)):
+        if math.isfinite(bound):  # an int count may have no ceiling
+            partners = _BOUND_PARTNERS.get((f.name, side), {})
+            assert getattr(TR.TrainConfig(**{f.name: bound, **partners}), f.name) == bound
+            with pytest.raises(TR.ConfigError, match=f.name):
+                TR.TrainConfig(**{f.name: outside, **partners})
+
+
 def test_invalid_model_geometry_rejected_at_construction():
     with pytest.raises(TR.ConfigError):
         TR.TrainConfig(d_model=6)  # 2-d sinusoidal positions need d_model % 4 == 0
@@ -223,8 +255,9 @@ def test_parse_fusion_mode():
     assert TR.parse_fusion_mode("learnable") == ("learnable", None)
     assert TR.parse_fusion_mode("random") == ("random", None)
     assert TR.parse_fusion_mode("constant:0.5") == ("constant", 0.5)
-    with pytest.raises(TR.ConfigError):
-        TR.parse_fusion_mode("constant:lots")
+    for bad in ("constant:lots", "constant:nan", "constant:inf", "constant:-inf"):
+        with pytest.raises(TR.ConfigError):
+            TR.parse_fusion_mode(bad)
 
 
 # -- training -----------------------------------------------------------------
