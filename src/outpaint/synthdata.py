@@ -13,7 +13,10 @@ seed always produces bitwise identical samples.
 
 from __future__ import annotations
 
+import functools
 import os
+import shutil
+import stat
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -80,19 +83,46 @@ class SynthSample:
     caption: CsPrompt
 
 
-# -- masks ----------------------------------------------------------------
+# -- geometry pieces -------------------------------------------------------
+# Every piece that depends on sizes alone (index grids, the center mask,
+# shape templates, texture patterns) is built once per geometry and cached
+# read-only; each sample is assembled from them into fresh arrays of its own.
+# The caches hold no colored image, so they stay O(image_size^2): about 44 MB
+# when full at the 1,024 px ceiling.
 
 
-def make_center_mask(image_size: int, center_size: int) -> np.ndarray:
-    """Zeros on the centered block, ones (to generate) elsewhere."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_RGB = {name: _read_only(np.array(rgb).reshape(3, 1, 1)) for name, rgb in COLOR_RGB.items()}
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Open row (size, 1) and column (1, size) index grids (read-only, cached)."""
+    yy, xx = np.ogrid[0:size, 0:size]
+    return _read_only(yy), _read_only(xx)
+
+
+@functools.lru_cache(maxsize=2)
+def _center(image_size: int, center_size: int) -> tuple[np.ndarray, tuple[slice, slice]]:
+    """The center mask (read-only, cached) and the slices of its kept block."""
     if image_size % 2 or center_size % 2:
         raise BadGeometry(f"sizes must be even, got {image_size}/{center_size}")
     if not 0 < center_size <= image_size:
         raise BadGeometry(f"need 0 < center_size <= image_size, got {center_size}/{image_size}")
-    mask = np.ones((image_size, image_size))
     lo = (image_size - center_size) // 2
-    mask[lo:lo + center_size, lo:lo + center_size] = 0.0
-    return mask
+    block = (slice(lo, lo + center_size),) * 2
+    mask = np.ones((image_size, image_size))
+    mask[block] = 0.0
+    return _read_only(mask), block
+
+
+def make_center_mask(image_size: int, center_size: int) -> np.ndarray:
+    """Zeros on the centered block, ones (to generate) elsewhere."""
+    return _center(image_size, center_size)[0].copy()
 
 
 def make_irregular_mask(seed: int, image_size: int, min_keep_fraction: float) -> np.ndarray:
@@ -114,7 +144,7 @@ def make_irregular_mask(seed: int, image_size: int, min_keep_fraction: float) ->
         cy = c + rng.uniform(-ry / 4.0, ry / 4.0)
         cx = c + rng.uniform(-rx / 4.0, rx / 4.0)
         ellipses.append((cy, cx, ry, rx))
-    yy, xx = np.mgrid[0:image_size, 0:image_size]
+    yy, xx = _grid(image_size)
     scale = 1.0
     while True:
         kept = np.zeros((image_size, image_size), dtype=bool)
@@ -125,46 +155,31 @@ def make_irregular_mask(seed: int, image_size: int, min_keep_fraction: float) ->
         scale *= 1.25
 
 
-# -- rendering ------------------------------------------------------------
-
-
+@functools.lru_cache(maxsize=24)
 def shape_template(shape: str, size_word: str, center_size: int) -> np.ndarray:
-    """Boolean foreground raster of a shape inside a center tile."""
+    """Boolean foreground raster of a shape inside a center tile (read-only, cached)."""
     cs = center_size
     side = cs - 2 if size_word == "large" else cs // 2
     c0 = (cs - 1) / 2.0
-    yy, xx = np.mgrid[0:cs, 0:cs]
+    yy, xx = _grid(cs)
     if shape == "square":
         half = side / 2.0
-        return (np.abs(yy - c0) <= half) & (np.abs(xx - c0) <= half)
-    if shape == "circle":
+        fg = (np.abs(yy - c0) <= half) & (np.abs(xx - c0) <= half)
+    elif shape == "circle":
         r = side / 2.0
-        return (yy - c0) ** 2 + (xx - c0) ** 2 <= r * r
-    if shape == "triangle":
-        top = (cs - side) // 2
-        rel = yy - top
-        inside_rows = (rel >= 0) & (rel < side)
-        return inside_rows & (np.abs(xx - c0) <= (rel + 1) / 2.0)
-    raise ValueError(f"unknown shape {shape!r}")
+        fg = (yy - c0) ** 2 + (xx - c0) ** 2 <= r * r
+    elif shape == "triangle":
+        rel = yy - (cs - side) // 2
+        fg = (rel >= 0) & (rel < side) & (np.abs(xx - c0) <= (rel + 1) / 2.0)
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    return _read_only(fg)
 
 
-def render_center_tile(shape: str, color: str, size_word: str, center_size: int) -> np.ndarray:
-    """(3, cs, cs) tile in [0, 1]: gray background, full-intensity shape."""
-    tile = np.full((3, center_size, center_size), BACKGROUND)
-    fg = shape_template(shape, size_word, center_size)
-    rgb = COLOR_RGB[color]
-    for ch in range(3):
-        tile[ch][fg] = rgb[ch]
-    return tile
-
-
-def render_surrounding_field(texture: str, color: str, qualifier: str, image_size: int) -> np.ndarray:
-    """(3, H, W) texture field in [0, 1] covering the whole image."""
-    rgb = np.array(COLOR_RGB[color]).reshape(3, 1, 1)
-    yy, xx = np.mgrid[0:image_size, 0:image_size]
-    if texture == "solid":
-        shade = 1.0 if qualifier == "bright" else DARK_SHADE
-        return np.broadcast_to(rgb * shade, (3, image_size, image_size)).copy()
+@functools.lru_cache(maxsize=8)
+def _pattern(texture: str, qualifier: str, image_size: int) -> np.ndarray:
+    """Boolean lit cells of a stripes (H, 1) or checker (H, W) texture (read-only, cached)."""
+    yy, xx = _grid(image_size)
     cell = DENSITY_CELL[qualifier]
     if texture == "stripes":
         lit = (yy // cell) % 2 == 0
@@ -172,7 +187,22 @@ def render_surrounding_field(texture: str, color: str, qualifier: str, image_siz
         lit = ((yy // cell) + (xx // cell)) % 2 == 0
     else:
         raise ValueError(f"unknown texture {texture!r}")
-    return rgb * lit[None, :, :].astype(np.float64)
+    return _read_only(lit)
+
+
+def render_center_tile(shape: str, color: str, size_word: str, center_size: int) -> np.ndarray:
+    """(3, cs, cs) tile in [0, 1]: gray background, full-intensity shape."""
+    return np.where(shape_template(shape, size_word, center_size), _RGB[color], BACKGROUND)
+
+
+def render_surrounding_field(texture: str, color: str, qualifier: str, image_size: int) -> np.ndarray:
+    """(3, H, W) texture field in [0, 1] covering the whole image."""
+    field = np.empty((3, image_size, image_size))
+    if texture == "solid":
+        field[...] = _RGB[color] * (1.0 if qualifier == "bright" else DARK_SHADE)
+    else:
+        np.multiply(_RGB[color], _pattern(texture, qualifier, image_size), out=field)
+    return field
 
 
 def generate(seed: int, spec: SynthSpec = DEFAULT_SPEC) -> SynthSample:
@@ -186,15 +216,15 @@ def generate(seed: int, spec: SynthSpec = DEFAULT_SPEC) -> SynthSample:
     pool = SHADES if texture == "solid" else DENSITIES
     qualifier = pool[rng.integers(len(pool))]
 
-    mask = make_center_mask(spec.image_size, spec.center_size)
+    mask, block = _center(spec.image_size, spec.center_size)
     img = render_surrounding_field(texture, surround_color, qualifier, spec.image_size)
-    img[:, mask == 0.0] = render_center_tile(shape, center_color, size_word, spec.center_size).reshape(3, -1)
+    img[(slice(None),) + block] = render_center_tile(shape, center_color, size_word, spec.center_size)
 
     caption = CsPrompt(
         (shape, center_color, size_word),
         (texture, surround_color, qualifier),
     )
-    return SynthSample(image=img * 2.0 - 1.0, pixel_mask=mask, caption=caption)
+    return SynthSample(image=img * 2.0 - 1.0, pixel_mask=mask.copy(), caption=caption)
 
 
 def split_conditional(samples: Sequence[SynthSample], uncond_fraction: float, seed: int) -> list[SynthSample]:
@@ -246,19 +276,34 @@ def build_dataset(
 
 
 def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) -> None:
-    img_dir = os.path.join(out_dir, "images")
-    mask_dir = os.path.join(out_dir, "masks")
-    os.makedirs(img_dir, exist_ok=True)
-    os.makedirs(mask_dir, exist_ok=True)
-    lines = []
-    for i, (sample, seed) in enumerate(zip(samples, seeds)):
-        img_rel = f"images/{i:05d}.ppm"
-        mask_rel = f"masks/{i:05d}.pgm"
-        ppm.write_ppm(os.path.join(out_dir, img_rel), sample.image)
-        ppm.write_pgm(os.path.join(out_dir, mask_rel), sample.pixel_mask)
-        lines.append(f"{seed}\t{img_rel}\t{mask_rel}\t{render(sample.caption)}\n")
-    with open(os.path.join(out_dir, "manifest.tsv"), "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    """Write the dataset into a temporary directory beside ``out_dir``, then
+    rename it onto ``out_dir``, so a failed write leaves no partial dataset.
+    A missing or empty ``out_dir`` is accepted (missing parents are created);
+    anything else raises ``FileExistsError`` before a byte is written."""
+    out_dir = os.path.normpath(out_dir)
+    if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and not os.listdir(out_dir)):
+        raise FileExistsError(f"{out_dir}: exists and is not an empty directory")
+    os.makedirs(os.path.dirname(out_dir) or os.curdir, exist_ok=True)
+    tmp = f"{out_dir}.tmp{os.getpid()}"
+    os.mkdir(tmp)  # the mode os.makedirs gives a new out_dir
+    try:
+        if os.path.isdir(out_dir):  # an empty out_dir keeps its own mode
+            os.chmod(tmp, stat.S_IMODE(os.stat(out_dir).st_mode))
+        os.mkdir(os.path.join(tmp, "images"))
+        os.mkdir(os.path.join(tmp, "masks"))
+        lines = []
+        for i, (sample, seed) in enumerate(zip(samples, seeds)):
+            img_rel = f"images/{i:05d}.ppm"
+            mask_rel = f"masks/{i:05d}.pgm"
+            ppm.write_ppm(os.path.join(tmp, img_rel), sample.image)
+            ppm.write_pgm(os.path.join(tmp, mask_rel), sample.pixel_mask)
+            lines.append(f"{seed}\t{img_rel}\t{mask_rel}\t{render(sample.caption)}\n")
+        with open(os.path.join(tmp, "manifest.tsv"), "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, out_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def load_dataset(in_dir) -> tuple[list[SynthSample], list[int]]:

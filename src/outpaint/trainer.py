@@ -349,7 +349,7 @@ def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams
     except (EOFError, UnicodeDecodeError) as exc:
         raise CorruptCheckpoint(f"{path}: truncated or garbled ({exc})") from None
 
-    fusion_mode, _ = parse_fusion_mode(cfg.a_mode)
+    fusion_mode, constant = parse_fusion_mode(cfg.a_mode)
 
     def take(name, shape):
         # the file's own arrays, checked, so header sizes never allocate more than the file holds
@@ -361,7 +361,11 @@ def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams
 
     def make(name, shape, init):
         blob = take(name, shape)
-        return A.fusion_scalar(blob, fusion_mode) if init == "fusion" else Tensor(blob, requires_grad=True)
+        if init != "fusion":
+            return Tensor(blob, requires_grad=True)
+        if constant is not None and blob != constant:  # the model must use the constant its header reports
+            raise CorruptCheckpoint(f"{path}: tensor {name} is {float(blob)!r}, header says {cfg.a_mode}")
+        return A.fusion_scalar(blob, fusion_mode)
 
     params = DN.assemble(cfg, vocab.size, make)
     step = blobs.pop("opt.t", None)

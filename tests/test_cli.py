@@ -65,6 +65,15 @@ def test_gen_data_twice_is_byte_identical(tmp_path):
     assert tree_bytes(a) == tree_bytes(b)
 
 
+def test_gen_data_into_a_non_empty_directory_exits_3_and_changes_nothing(tmp_path):
+    out = tmp_path / "d"
+    assert run(["gen-data", "--out", str(out), "--n", "3", "--seed", "1"]) == 0
+    before = tree_bytes(out)
+    assert run(["gen-data", "--out", str(out), "--n", "5", "--seed", "2"]) == cli.EXIT_DATA
+    assert tree_bytes(out) == before
+    assert sorted(os.listdir(tmp_path)) == ["d"]
+
+
 def test_gen_data_uncond_fraction_count(tmp_path):
     out = tmp_path / "d"
     assert run(["gen-data", "--out", str(out), "--n", "100", "--seed", "1",
@@ -256,6 +265,9 @@ HOSTILE_CHECKPOINTS = {
     "huge_image_size": _ckpt(_TOY_HEADER.replace(b"image_size=12\n", b"image_size=393216\n"), _TOY_RECORDS),
     "huge_l_center": _ckpt(_TOY_HEADER.replace(b"l_center=4\n", b"l_center=8589934592\n"), _TOY_RECORDS),
     "nan_constant_fusion": _ckpt(_CONSTANT_HEADER.replace(b"constant:0.5", b"constant:nan"), _CONSTANT_RECORDS),
+    # a header reporting another constant than the frozen fusion the records hold
+    "mismatched_constant_fusion": _ckpt(_CONSTANT_HEADER.replace(b"constant:0.5", b"constant:0.25"),
+                                        _CONSTANT_RECORDS),
 }
 # Address-space cap for the child: far above a healthy run, far below any
 # allocation from header sizes, so a regression fails fast instead of paging.

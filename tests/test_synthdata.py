@@ -1,8 +1,11 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import os
+import stat
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +15,22 @@ from outpaint import cli
 from outpaint import ppm
 from outpaint import synthdata as SD
 from outpaint.evaluation import detect_keywords
-from outpaint.prompt import CsPrompt
+from outpaint.prompt import CsPrompt, render
 
 
 def test_generate_is_deterministic():
-    a = SD.generate(123)
-    b = SD.generate(123)
-    np.testing.assert_array_equal(a.image, b.image)
-    np.testing.assert_array_equal(a.pixel_mask, b.pixel_mask)
-    assert a.caption == b.caption
+    # seeds 0-9 cover every texture; each sample owns its arrays, so writing
+    # into one (or into a center mask) cannot reach a cached piece
+    for seed in range(10):
+        a = SD.generate(seed)
+        want_image, want_mask = a.image.copy(), a.pixel_mask.copy()
+        for arr in (a.image, a.pixel_mask, SD.make_center_mask(16, 8)):
+            assert arr.flags.writeable and arr.flags.owndata
+            arr[...] = 7.0
+        b = SD.generate(seed)
+        np.testing.assert_array_equal(b.image, want_image)
+        np.testing.assert_array_equal(b.pixel_mask, want_mask)
+        assert a.caption == b.caption
 
 
 def test_generate_caption_structure_and_range():
@@ -173,6 +183,92 @@ def test_build_dataset_irregular_masks():
     for s in samples:
         assert set(np.unique(s.pixel_mask)) <= {0.0, 1.0}
         assert (s.pixel_mask == 0).mean() >= (8 / 16) ** 2
+
+
+def _dataset_sha256(samples, seeds):
+    h = hashlib.sha256()
+    for s, seed in zip(samples, seeds):
+        h.update(s.image.tobytes())
+        h.update(s.pixel_mask.tobytes())
+        h.update(render(s.caption).encode())
+        h.update(str(seed).encode())
+    return h.hexdigest()
+
+
+# sha256 over the images, masks, captions and seeds of build_dataset(200, 1, ...),
+# computed before the geometry pieces were cached; any change means the data moved
+@pytest.mark.parametrize("image_size,center_size,options,want", [
+    (16, 8, {}, "6ea0ded8da8115967e7af1a29a8f57258f3e7f744a0d3f2528552aff2c90a1a6"),
+    (32, 16, {}, "abb81872993e959f914acdad774b07b2b461d0c1ef953ed50b7bbcfc3a5e1741"),
+    (16, 8, {"irregular": True, "uncond_fraction": 0.1},
+     "692b504c951f5ec22d741c3b9032859ac51f68981a40b0e8c47e81c7f3c6415a"),
+])
+def test_build_dataset_bytes_are_pinned(image_size, center_size, options, want):
+    spec = SD.SynthSpec(image_size=image_size, center_size=center_size)
+    assert _dataset_sha256(*SD.build_dataset(200, 1, spec, **options)) == want
+
+
+def test_geometry_caches_stay_under_64_mb_at_the_ceiling():
+    cached = (SD._grid, SD._center, SD._pattern, SD.shape_template)
+    for fn in cached:
+        fn.cache_clear()
+    tracemalloc.start()
+    try:
+        ceiling = SD.DenoiserConfig.range_of("image_size")[1]
+        sizes = range(ceiling, ceiling - 32, -2)  # more geometries than any cache holds
+        for size in sizes:
+            SD.generate(0, SD.SynthSpec(image_size=size, center_size=size - 2))
+            SD.make_irregular_mask(0, size, 0.25)
+            for shape, size_word in itertools.product(SD.SHAPES, SD.SIZES):
+                SD.shape_template(shape, size_word, size - 2)
+            for texture, qualifier in itertools.product(("stripes", "checker"), SD.DENSITIES):
+                SD.render_surrounding_field(texture, "red", qualifier, size)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        for fn in cached:
+            fn.cache_clear()
+    assert all(fn.cache_info().maxsize <= 24 for fn in cached)
+    assert held < 64e6, f"geometry caches hold {held / 1e6:.1f} MB"
+
+
+def _failing_third_write(real_write):
+    calls = []
+
+    def write(path, img):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_write(path, img)
+    return write
+
+
+def test_failed_dataset_write_leaves_nothing(tmp_path, monkeypatch):
+    samples, seeds = SD.build_dataset(4, seed=3)
+    monkeypatch.setattr(ppm, "write_ppm", _failing_third_write(ppm.write_ppm))
+    out = tmp_path / "nested" / "data"
+    with pytest.raises(OSError, match="disk full"):
+        SD.save_dataset(samples, seeds, out)
+    assert not out.exists()
+    assert os.listdir(tmp_path / "nested") == []
+
+
+def test_save_dataset_accepts_missing_or_empty_and_refuses_anything_else(tmp_path):
+    samples, seeds = SD.build_dataset(3, seed=4)
+    fresh, empty, control = tmp_path / "a" / "b" / "fresh", tmp_path / "empty", tmp_path / "control"
+    empty.mkdir()
+    control.mkdir()
+    os.chmod(empty, 0o750)
+    SD.save_dataset(samples, seeds, str(fresh) + os.sep)
+    SD.save_dataset(samples, seeds, empty)
+    assert sorted(os.listdir(tmp_path)) == ["a", "control", "empty"]
+    assert stat.S_IMODE(os.stat(empty).st_mode) == 0o750  # an empty directory keeps its mode
+    assert stat.S_IMODE(os.stat(fresh).st_mode) == stat.S_IMODE(os.stat(control).st_mode)
+    for path in (fresh, fresh / "manifest.tsv"):
+        before = sorted(os.listdir(fresh))
+        with pytest.raises(FileExistsError):
+            SD.save_dataset(samples, seeds, path)
+        assert sorted(os.listdir(fresh)) == before
 
 
 def test_dataset_save_load_round_trip(tmp_path):

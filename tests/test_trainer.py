@@ -465,6 +465,18 @@ def test_truncated_checkpoint_raises(tmp_path):
         TR.load_checkpoint(garbage, VOCAB)
 
 
+@pytest.mark.parametrize("header_mode", ["constant:0.25", "constant:0.5000000000000001", "constant:-0.5"])
+def test_constant_fusion_must_equal_the_header_constant(tmp_path, header_mode):
+    params = TR.init_model(replace(TOY, a_mode="constant:0.5"), VOCAB)
+    opt = TR.Adam(params.trainable_parameters(), lr=TOY.learning_rate)
+    path = tmp_path / "model.ckpt"
+    TR.save_checkpoint(params, opt, replace(TOY, a_mode="constant:0.5"), path)
+    assert TR.load_checkpoint(path, VOCAB)[0].fusion_values() == [0.5]
+    TR.save_checkpoint(params, opt, replace(TOY, a_mode=header_mode), path)
+    with pytest.raises(TR.CorruptCheckpoint, match="fusion"):
+        TR.load_checkpoint(path, VOCAB)
+
+
 @pytest.fixture(scope="module")
 def toy_checkpoint(tmp_path_factory):
     params = TR.init_model(TOY, VOCAB)
