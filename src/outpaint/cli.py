@@ -124,6 +124,7 @@ def _load_samples(data_dir, cfg: TR.TrainConfig):
 
 def cmd_gen_data(args) -> int:
     spec = SD.SynthSpec(image_size=args.image_size, center_size=args.center_size)
+    SD.check_out_dir(args.out)  # refuse a non-empty --out before rendering anything
     samples, seeds = SD.build_dataset(
         args.n, args.seed, spec, uncond_fraction=args.uncond_fraction, irregular=args.irregular
     )

@@ -275,14 +275,20 @@ def build_dataset(
 # manifest.tsv: `seed<TAB>image_path<TAB>mask_path<TAB>caption` lines, paths inside the dataset
 
 
-def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) -> None:
-    """Write the dataset into a temporary directory beside ``out_dir``, then
-    rename it onto ``out_dir``, so a failed write leaves no partial dataset.
-    A missing or empty ``out_dir`` is accepted (missing parents are created);
-    anything else raises ``FileExistsError`` before a byte is written."""
+def check_out_dir(out_dir) -> str:
+    """``out_dir`` normalized if it is missing or an empty directory, the
+    places a dataset may be written; anything else raises ``FileExistsError``."""
     out_dir = os.path.normpath(out_dir)
     if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and not os.listdir(out_dir)):
         raise FileExistsError(f"{out_dir}: exists and is not an empty directory")
+    return out_dir
+
+
+def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) -> None:
+    """Write the dataset into a temporary directory beside ``out_dir``, then
+    rename it onto ``out_dir``, so a failed write leaves no partial dataset.
+    ``out_dir`` must pass ``check_out_dir`` (missing parents are created)."""
+    out_dir = check_out_dir(out_dir)
     os.makedirs(os.path.dirname(out_dir) or os.curdir, exist_ok=True)
     tmp = f"{out_dir}.tmp{os.getpid()}"
     os.mkdir(tmp)  # the mode os.makedirs gives a new out_dir

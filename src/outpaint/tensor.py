@@ -4,9 +4,9 @@ A ``Tensor`` wraps a numpy array. When gradients are enabled, every
 operation records its input tensors and a vector-Jacobian closure on the
 output node. Node ids grow monotonically with creation order, so the
 recorded graph is an implicit tape whose order is already topological:
-``backward`` walks the slice of that tape reachable from the loss exactly
-once in reverse, accumulating gradients additively into leaf tensors that
-require them.
+``backward`` visits the nodes that receive a gradient exactly once each,
+newest first, accumulating gradients additively into leaf tensors that
+require them. Every gradient is an array of its tensor's shape.
 
 Everything is float64 so finite-difference checks can be tight. A dense
 layer (``matmul`` with ``bias``) and an affine layer norm (``layernorm_rows``
@@ -18,6 +18,7 @@ surgery; the tape is rebuilt on every forward pass.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from contextlib import contextmanager
@@ -110,12 +111,12 @@ def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to the pre-broadcast shape."""
+    """Sum a gradient back down to the pre-broadcast shape (an array, also when 0-d)."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.asarray(g.sum(axis=tuple(range(extra))))  # a sum over every axis is a numpy scalar
     axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -333,14 +334,15 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(x) -> Tensor:
     x = as_tensor(x)
-    phi = x.data * _INV_SQRT2  # phi = 0.5 * (1 + erf(x / sqrt 2))
+    # phi = 0.5 * (1 + erf(x / sqrt 2)); out= keeps a 0-d phi an array, which the in-place steps need
+    phi = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
     _erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
     data = x.data * phi
 
     def vjp(g):  # g * (phi + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
-        d = -0.5 * x.data
+        d = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
         np.exp(np.multiply(d, x.data, out=d), out=d)
         d *= _INV_SQRT2PI
         np.multiply(x.data, d, out=d)
@@ -366,43 +368,32 @@ def mean_all(x) -> Tensor:
 # -- backward ------------------------------------------------------------
 
 
-def _reachable(loss: Tensor) -> list[Tensor]:
-    """Nodes that contribute gradient, in creation (= topological) order."""
-    seen: dict[int, Tensor] = {}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if node._id in seen:
-            continue
-        seen[node._id] = node
-        stack.extend(p for p in node._parents if p.requires_grad and p._id not in seen)
-    return sorted(seen.values(), key=lambda n: n._id)
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
     Repeated calls without zero_grad add up; gradients of intermediate
-    nodes are not retained.
+    nodes are not retained. The nodes holding a gradient wait in a max-heap
+    on id, so each runs its VJP once, after every consumer (a newer node).
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward from tensor of shape {loss.shape}")
     if not loss.requires_grad:
         return
-    order = _reachable(loss)
     grads: dict[int, np.ndarray] = {loss._id: np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(node._id, None)
-        if g is None:
-            continue
+    pending = [(-loss._id, loss)]
+    while pending:
+        node = heapq.heappop(pending)[1]
+        g = grads.pop(node._id)
         if node._vjp is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            node.grad = g.copy() if node.grad is None else np.asarray(node.grad + g)
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(parent._id)
-            grads[parent._id] = pg if acc is None else acc + pg
+            if acc is None:
+                heapq.heappush(pending, (-parent._id, parent))
+            grads[parent._id] = np.asarray(pg if acc is None else acc + pg)  # 0-d ufunc results are scalars
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -74,6 +74,18 @@ def test_gen_data_into_a_non_empty_directory_exits_3_and_changes_nothing(tmp_pat
     assert sorted(os.listdir(tmp_path)) == ["d"]
 
 
+def test_gen_data_refuses_a_non_empty_out_before_building_anything(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("gen-data built a dataset it cannot write")
+
+    monkeypatch.setattr(SD, "build_dataset", no_build)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "keep.txt").write_text("x")
+    assert run(["gen-data", "--out", str(tmp_path / "d"), "--n", "20000"]) == cli.EXIT_DATA
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert tree_bytes(tmp_path) == {os.path.join("d", "keep.txt"): b"x"}
+
+
 def test_gen_data_uncond_fraction_count(tmp_path):
     out = tmp_path / "d"
     assert run(["gen-data", "--out", str(out), "--n", "100", "--seed", "1",

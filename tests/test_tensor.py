@@ -124,21 +124,6 @@ def test_backward_is_linear():
     np.testing.assert_allclose(combined, grad_of(f) + grad_of(h), atol=1e-10)
 
 
-def test_tape_order_is_topological():
-    x = Tensor(np.ones(3), requires_grad=True)
-    y = T.mul(x, x)
-    z = T.add(y, x)
-    loss = T.sum_all(z)
-    order = T._reachable(loss)
-    pos = {id(n): i for i, n in enumerate(order)}
-    for node in order:
-        for p in node._parents:
-            if p.requires_grad:
-                assert pos[id(p)] < pos[id(node)]
-    ids = [n._id for n in order]
-    assert ids == sorted(ids)
-
-
 def test_no_grad_blocks_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():

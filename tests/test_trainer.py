@@ -279,6 +279,18 @@ def test_one_step_is_bitwise_reproducible():
     assert sum_a == sum_b
 
 
+def test_every_gradient_is_an_array_of_its_parameter_shape():
+    # in-place updates (out=, +=, g[...] =) need arrays; a numpy scalar would be rebound, not written
+    cfg = replace(TOY, n_blocks=4, grad_clip=1e-6)  # a tiny clip scales every gradient in place
+    params = TR.init_model(cfg, VOCAB)
+    opt = TR.Adam(params.trainable_parameters(), lr=cfg.learning_rate)
+    TR.train_step(toy_samples()[:2], params, opt, cfg.schedule(), TR.step_rng(cfg.seed, 0), VOCAB, cfg.grad_clip)
+    fusion = [name for name, p in opt.named_params if p.ndim == 0]
+    assert len(fusion) == 4
+    for name, p in opt.named_params:
+        assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.shape, name
+
+
 def next_node_id() -> int:
     text = repr(T._node_ids)  # "count(<next id>)"; reading it does not advance it
     return int(text[text.index("(") + 1:-1])
