@@ -277,20 +277,24 @@ def build_dataset(
 
 def check_out_dir(out_dir) -> str:
     """``out_dir`` normalized if it is missing or an empty directory, the
-    places a dataset may be written; anything else raises ``FileExistsError``."""
+    places a dataset may be written, and no ``<out_dir>.partial`` is left
+    beside it; anything else raises ``FileExistsError``."""
     out_dir = os.path.normpath(out_dir)
     if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and not os.listdir(out_dir)):
         raise FileExistsError(f"{out_dir}: exists and is not an empty directory")
+    if os.path.lexists(out_dir + ".partial"):
+        raise FileExistsError(f"{out_dir}.partial: left by an interrupted write; remove it first")
     return out_dir
 
 
 def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) -> None:
-    """Write the dataset into a temporary directory beside ``out_dir``, then
-    rename it onto ``out_dir``, so a failed write leaves no partial dataset.
-    ``out_dir`` must pass ``check_out_dir`` (missing parents are created)."""
+    """Write the dataset into ``<out_dir>.partial``, then rename that onto
+    ``out_dir``, so a failed write leaves no partial dataset and a killed one
+    leaves a directory the next ``check_out_dir`` refuses. ``out_dir`` must
+    pass ``check_out_dir`` (missing parents are created)."""
     out_dir = check_out_dir(out_dir)
     os.makedirs(os.path.dirname(out_dir) or os.curdir, exist_ok=True)
-    tmp = f"{out_dir}.tmp{os.getpid()}"
+    tmp = out_dir + ".partial"
     os.mkdir(tmp)  # the mode os.makedirs gives a new out_dir
     try:
         if os.path.isdir(out_dir):  # an empty out_dir keeps its own mode

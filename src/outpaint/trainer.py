@@ -58,7 +58,7 @@ class TrainConfig(DN.DenoiserConfig):
     beta_start: float = DN.ranged(1e-4, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))  # (0, 1) without its ends
     beta_end: float = DN.ranged(0.05, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
     infer_steps: int = DN.ranged(50, 1, math.inf)
-    center_size: int = DN.ranged(8, 2, 1024)
+    center_size: int = DN.ranged(8, 2, 1024)  # only `sample --mask center`'s mask; training uses each sample's own
     checkpoint_every: int = DN.ranged(1000, 1, math.inf)
     grad_clip: float = DN.ranged(1.0, 0.0, sys.float_info.max)  # 0 means no clipping
 
@@ -106,8 +106,8 @@ def config_from_mapping(mapping: dict[str, str]) -> TrainConfig:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Plain-text `key = value` lines; `#` starts a comment."""
-    mapping = {}
+    """Plain-text `key = value` lines; `#` starts a comment; a key set twice is an error."""
+    mapping, first_line = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = list(fh)
@@ -119,8 +119,11 @@ def read_config_file(path) -> dict[str, str]:
             continue
         if "=" not in body:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
-        key, value = body.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in body.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        mapping[key] = value
     return mapping
 
 

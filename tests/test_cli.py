@@ -86,6 +86,21 @@ def test_gen_data_refuses_a_non_empty_out_before_building_anything(tmp_path, mon
     assert tree_bytes(tmp_path) == {os.path.join("d", "keep.txt"): b"x"}
 
 
+def test_gen_data_refuses_a_leftover_partial_write(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("gen-data built a dataset it cannot write")
+
+    monkeypatch.setattr(SD, "build_dataset", no_build)
+    (tmp_path / "d.partial" / "images").mkdir(parents=True)  # what a killed write leaves
+    (tmp_path / "d.partial" / "images" / "00000.ppm").write_bytes(b"P6")
+    before = tree_bytes(tmp_path)
+    assert run(["gen-data", "--out", str(tmp_path / "d"), "--n", "4"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "d.partial" in err[0]
+    assert tree_bytes(tmp_path) == before
+    assert sorted(os.listdir(tmp_path)) == ["d.partial"]
+
+
 def test_gen_data_uncond_fraction_count(tmp_path):
     out = tmp_path / "d"
     assert run(["gen-data", "--out", str(out), "--n", "100", "--seed", "1",

@@ -1,3 +1,8 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -282,3 +287,66 @@ def test_one_gradient_array_feeding_every_kernel_reaches_each_unchanged():
     apart = sum(grad_of([n]) for n in KERNELS)
     for names in (list(KERNELS), list(KERNELS)[::-1]):  # the backward runs the last-made kernel first
         np.testing.assert_allclose(grad_of(names), apart, rtol=1e-12, atol=1e-12)
+
+
+# Five 32 px default train steps in a fresh interpreter, whose heap no earlier test has grown;
+# prints the minor page faults of the last three.
+_FAULT_PROBE = """
+import resource
+from outpaint import synthdata as SD, trainer as TR
+cfg = TR.TrainConfig(image_size=32, center_size=16)
+vocab, schedule = SD.vocabulary(), cfg.schedule()
+samples, _ = SD.build_dataset(8, 0, SD.SynthSpec(image_size=32, center_size=16))
+params = TR.init_model(cfg, vocab)
+opt = TR.Adam(params.trainable_parameters(), lr=cfg.learning_rate)
+faults = []
+for step in range(5):
+    rng = TR.step_rng(cfg.seed, step)
+    batch = [samples[i] for i in rng.integers(0, len(samples), size=cfg.batch_size)]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    TR.train_step(batch, params, opt, schedule, rng, vocab, cfg.grad_clip)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults[2:])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap limits are glibc's mallopt")
+def test_warm_train_steps_reuse_freed_tape_memory_without_page_faults():
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    faults = [int(n) for n in done.stdout.split()]
+    assert len(faults) == 3 and max(faults) < 100, faults  # about 4,400 per step with glibc's defaults
+
+
+class _Libc:
+    """A C library whose mallopt records its calls and returns ``result``."""
+
+    def __init__(self, result):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+def test_heap_limits_are_set_together_or_not_at_all(monkeypatch):
+    def no_library(_name):
+        raise OSError("no such library")
+
+    monkeypatch.setattr(T.ctypes, "CDLL", no_library)
+    assert T._keep_freed_heap() is False
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda _name: object())  # a C library without mallopt
+    assert T._keep_freed_heap() is False
+    refusing = _Libc(0)
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda _name: refusing)
+    assert T._keep_freed_heap() is False
+    assert refusing.calls == [(T._M_MMAP_THRESHOLD, 32 << 20)]  # the trim limit is left alone
+    accepting = _Libc(1)
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda _name: accepting)
+    assert T._keep_freed_heap() is True
+    assert accepting.calls == [(T._M_MMAP_THRESHOLD, 32 << 20), (T._M_TRIM_THRESHOLD, 256 << 20)]

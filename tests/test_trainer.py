@@ -143,6 +143,15 @@ def test_config_unknown_key_rejected(tmp_path):
         config_via_cli(path)
 
 
+def test_config_key_set_twice_rejected(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("learning_rate = 0.001\n# a comment\nlearning_rate = 0.5\n")
+    with pytest.raises(TR.ConfigError, match=r"twice\.cfg:3: 'learning_rate' already set on line 1"):
+        config_via_cli(path)
+    assert cli.main(["train", "--data", "d", "--out", str(tmp_path / "run"), "--config", str(path)]) == cli.EXIT_USAGE
+    assert sorted(os.listdir(tmp_path)) == ["twice.cfg"]
+
+
 def test_config_bad_value_rejected():
     with pytest.raises(TR.ConfigError):
         TR.config_from_mapping({"iterations": "many"})
