@@ -20,7 +20,7 @@ from outpaint import evaluation as EV
 from outpaint import ppm
 from outpaint import synthdata as SD
 from outpaint import trainer as TR
-from outpaint.prompt import parse, tokenize_and_embed
+from outpaint.prompt import LengthExceeded, parse, tokenize, tokenize_and_embed
 from outpaint.sampling import ddim_sample
 
 EXIT_OK = 0
@@ -114,11 +114,15 @@ def _load_samples(data_dir, cfg: TR.TrainConfig):
     samples, _ = SD.load_dataset(data_dir)
     if not samples:
         raise ValueError(f"{data_dir}: empty dataset")
-    shape = cfg.image_shape
+    shape, vocab = cfg.image_shape, SD.vocabulary()
     for i, s in enumerate(samples):  # every sample, so a stray one cannot stop training midway
         if s.image.shape != shape or s.pixel_mask.shape != shape[1:]:
             raise TR.GeometryMismatch(f"{data_dir}: sample {i} image {s.image.shape} and mask "
                                       f"{s.pixel_mask.shape}, model expects {shape}")
+        try:
+            tokenize(s.caption, vocab, cfg.l_center, cfg.l_surround)
+        except LengthExceeded as exc:
+            raise LengthExceeded(f"{data_dir}: sample {i} caption: {exc}") from None
     return samples
 
 
@@ -184,25 +188,11 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     params, cfg = _checkpoint(args)
     samples = _load_samples(args.data, cfg)
-    vocab = SD.vocabulary()
-    mode = args.mode
-    custom = None
-    if mode == "swapped":
-        custom = EV.swap_surrounding_colors([s.caption for s in samples], args.seed)
-        mode = "custom"
-    report = EV.evaluate(
-        params,
-        cfg.schedule(),
-        samples,
-        args.n,
-        vocab,
-        prompt_mode=mode,
-        custom_prompts=custom,
-        infer_steps=cfg.infer_steps,
-        seed=args.seed,
-        copy=args.copy,
-        out_dir=args.out,
-    )
+    swapped = args.mode == "swapped"
+    custom = EV.swap_surrounding_colors([s.caption for s in samples], args.seed) if swapped else None
+    report = EV.evaluate(params, cfg.schedule(), samples, args.n, SD.vocabulary(),
+                         prompt_mode="custom" if swapped else args.mode, custom_prompts=custom,
+                         infer_steps=cfg.infer_steps, seed=args.seed, copy=args.copy, out_dir=args.out)
     print(report.to_text(), end="")
     return EXIT_OK
 

@@ -14,8 +14,10 @@ to some vocabulary words.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -184,6 +186,35 @@ def swap_surrounding_colors(prompts, seed: int) -> list[CsPrompt]:
     return out
 
 
+def _rate(hits: list[bool]) -> float:
+    return sum(hits) / len(hits) if hits else 0.0
+
+
+def score(prompts, detected, center_errors) -> EvalReport:
+    """The report for one or more images, given each one's prompt, its
+    ``detect_keywords`` words and its center MSE (0.0 for an image with no
+    kept pixel); the three lists must be of one length.
+
+    A center counts when its detected shape and color are both in the
+    prompt, a surrounding when its texture and color both are; texture and
+    color are also scored alone. An image whose prompt leaves a region
+    empty is left out of that region's denominator.
+    """
+    pairs = [(p, found) for p, found, _ in zip(prompts, detected, center_errors, strict=True)]
+    center = [shape in p.center and color in p.center for p, ((shape, color, _), _) in pairs if p.center]
+    texture = [tex in p.surrounding for p, (_, (tex, _, _)) in pairs if p.surrounding]
+    color = [col in p.surrounding for p, (_, (_, col, _)) in pairs if p.surrounding]
+    return EvalReport(
+        region_accuracy_center=_rate(center),
+        region_accuracy_surrounding=_rate([t and c for t, c in zip(texture, color)]),
+        texture_accuracy_surrounding=_rate(texture),
+        color_accuracy_surrounding=_rate(color),
+        # left to right, as sum() compensates from Python 3.12 on and can move the last bit
+        center_mse=reduce(operator.add, center_errors, 0.0) / len(center_errors),
+        n_samples=len(center_errors),
+    )
+
+
 def evaluate(
     params,
     schedule,
@@ -197,14 +228,12 @@ def evaluate(
     copy: bool = False,
     out_dir=None,
 ) -> EvalReport:
-    """Sample the model on n dataset items and score against the prompt.
+    """Sample the model on n dataset items, detect each image's keywords
+    and ``score`` them against its prompt.
 
-    A region counts as correct when the detected texture+color (or
-    shape+color for the center) all appear in the conditioning prompt for
-    that region; samples whose prompt leaves a region empty are excluded
-    from that region's denominator. center_mse is measured before any
-    center copying. n is clipped to the dataset's size; then fewer than one
-    sample, an unknown prompt mode or too few prompts raises ``ValueError``.
+    Each center error is measured before any center copying. n is clipped
+    to the dataset's size; then fewer than one sample, an unknown prompt
+    mode or too few prompts raises ``ValueError``.
     """
     n = min(n, len(samples))
     if n < 1:
@@ -217,42 +246,20 @@ def evaluate(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    center_hits = center_total = 0
-    surround_hits = surround_total = texture_hits = color_hits = 0
-    mse_sum = 0.0
+    detected, center_errors = [], []
     for i, (sample, cond) in enumerate(zip(samples[:n], prompts)):
         pe = tokenize_and_embed(cond, vocab, params.text_table, cfg.l_center, cfg.l_surround)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         gen = ddim_sample(params, schedule, sample.image, sample.pixel_mask, pe, infer_steps, rng)
-
         keep = sample.pixel_mask == 0.0
-        if keep.any():
-            mse_sum += float(((gen - sample.image)[:, keep] ** 2).mean())
+        center_errors.append(float(((gen - sample.image)[:, keep] ** 2).mean()) if keep.any() else 0.0)
         if copy:
             gen = copy_center(gen, sample.image, sample.pixel_mask)
-        det_center, det_surround = detect_keywords(gen, sample.pixel_mask)
-        if cond.center:
-            center_total += 1
-            if det_center[0] in cond.center and det_center[1] in cond.center:
-                center_hits += 1
-        if cond.surrounding:
-            surround_total += 1
-            texture_ok = det_surround[0] in cond.surrounding
-            color_ok = det_surround[1] in cond.surrounding
-            texture_hits += texture_ok
-            color_hits += color_ok
-            surround_hits += texture_ok and color_ok
+        detected.append(detect_keywords(gen, sample.pixel_mask))
         if out_dir is not None:
             ppm.write_ppm(os.path.join(out_dir, f"gen_{i:05d}.ppm"), gen)
 
-    report = EvalReport(
-        region_accuracy_center=center_hits / center_total if center_total else 0.0,
-        region_accuracy_surrounding=surround_hits / surround_total if surround_total else 0.0,
-        texture_accuracy_surrounding=texture_hits / surround_total if surround_total else 0.0,
-        color_accuracy_surrounding=color_hits / surround_total if surround_total else 0.0,
-        center_mse=mse_sum / n,
-        n_samples=n,
-    )
+    report = score(prompts[:n], detected, center_errors)
     if out_dir is not None:
         with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
             fh.write(report.to_text())

@@ -182,6 +182,27 @@ def test_mixed_geometry_dataset_exits_3_before_step_1(tmp_path, capsys):
     assert "GeometryMismatch" in err and "sample 3" in err, err
 
 
+def test_over_long_caption_exits_3_before_anything_is_written(tmp_path, toy_run, capsys):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", str(data), "--n", "6", "--seed", "3",
+                "--image-size", "12", "--center-size", "8"]) == 0
+    # sample 3 names four center keywords; a window of 4 holds the marker and three
+    manifest = data / "manifest.tsv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    head, _ = lines[3].rsplit("\t", 1)
+    lines[3] = head + "\tCenter:square,green,large,bright; Surrounding:solid,red,dark\n"
+    manifest.write_text("".join(lines))
+    ckpt = toy_run[1] + "/model.ckpt"
+    for argv in (["train", "--data", str(data)] + TOY_FLAGS + ["--checkpoint-every", "1"],
+                 ["eval", "--ckpt", ckpt, "--data", str(data), "--steps", "2"],
+                 ["ablate", "--data", str(data), "--eval-n", "2"] + TOY_FLAGS):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_DATA, argv[0]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "LengthExceeded" in err[0] and "sample 3 caption" in err[0], err
+        assert not out.exists(), argv[0]
+
+
 def test_non_finite_sample_exits_3_and_writes_no_image(tmp_path, toy_run, capsys):
     data, _ = toy_run
     run_dir = tmp_path / "nan"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -231,3 +232,82 @@ def test_custom_prompts_are_counted_after_n_is_clipped(monkeypatch):
         report = EV.evaluate(params, cfg.schedule(), samples, len(samples) + 5, VOCAB,
                              prompt_mode=mode, custom_prompts=custom)
         assert report.n_samples == len(samples)
+
+
+# sha256 over every gen_*.ppm in name order, then the exact accuracies, of a
+# fresh (untrained) 12 px model at 3 DDIM steps on six samples, two of them
+# unconditional; computed before scoring moved into score()
+EVALUATE_PINS = {
+    ("dataset", False): ("301e2f3ca5dbedc842f3be1dc11afcf704b8bbcd43ac6f179c59b6a89a099d1d", 0.0, 0.0, 0.75, 0.0),
+    ("dataset", True): ("5cbabd978778fa794f801211653a0c380cee78df2cb2a3aff09f9496c757c0b0", 1.0, 0.0, 0.75, 0.0),
+    ("unconditional", False): ("301e2f3ca5dbedc842f3be1dc11afcf704b8bbcd43ac6f179c59b6a89a099d1d", 0.0, 0.0, 0.0, 0.0),
+    ("unconditional", True): ("5cbabd978778fa794f801211653a0c380cee78df2cb2a3aff09f9496c757c0b0", 0.0, 0.0, 0.0, 0.0),
+    ("custom", False): ("52ec0195d198ca57461bffbbc24e098401fc4c2f708cf3d025a7f22b18b628cb", 0.0, 0.25, 0.75, 0.25),
+    ("custom", True): ("5cbabd978778fa794f801211653a0c380cee78df2cb2a3aff09f9496c757c0b0", 1.0, 0.25, 0.75, 0.25),
+}
+# center_mse passes through BLAS, whose last bit may differ between builds
+EVALUATE_CENTER_MSE = {"dataset": 1.7748174911511976, "unconditional": 1.7748195546334227,
+                       "custom": 1.7748167159695125}
+
+
+@pytest.mark.parametrize("mode,copy", sorted(EVALUATE_PINS))
+def test_evaluate_images_and_reports_are_pinned(tmp_path, mode, copy):
+    cfg, _, params = small_setup()
+    samples, _ = SD.build_dataset(6, seed=2, spec=SD.SynthSpec(image_size=12, center_size=8),
+                                  uncond_fraction=0.3)
+    swapped = EV.swap_surrounding_colors([s.caption for s in samples], seed=3)
+    report = EV.evaluate(params, cfg.schedule(), samples, 6, VOCAB, prompt_mode=mode,
+                         custom_prompts=swapped if mode == "custom" else None,
+                         infer_steps=3, seed=8, copy=copy, out_dir=tmp_path)
+    images = sorted(tmp_path.glob("gen_*.ppm"))
+    assert len(images) == 6
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in images)).hexdigest()
+    accuracies = (report.region_accuracy_center, report.region_accuracy_surrounding,
+                  report.texture_accuracy_surrounding, report.color_accuracy_surrounding)
+    assert (digest, *accuracies) == EVALUATE_PINS[mode, copy]
+    assert report.n_samples == 6
+    assert report.center_mse == pytest.approx(EVALUATE_CENTER_MSE[mode], rel=1e-12, abs=0.0)
+
+
+# -- score ----------------------------------------------------------------------
+
+
+def test_score_empty_denominators_give_zero():
+    detected = [(("circle", "red", "large"), ("solid", "red", "bright"))] * 2
+    report = EV.score([CsPrompt(), CsPrompt()], detected, [0.5, 0.0])
+    assert report == EV.EvalReport(0.0, 0.0, 0.0, 0.0, 0.25, 2)
+
+
+def test_score_center_needs_shape_and_color_and_ignores_size():
+    detected = (("circle", "red", "small"), ("solid", "red", "bright"))
+    prompts = [CsPrompt(("circle", "red", "large")), CsPrompt(("circle", "blue", "small")),
+               CsPrompt(("square", "red", "small")), CsPrompt(("red", "circle"))]
+    report = EV.score(prompts, [detected] * 4, [0.0] * 4)
+    assert report.region_accuracy_center == 2 / 4
+    assert report.region_accuracy_surrounding == 0.0  # no prompt names the surrounding
+
+
+def test_score_scores_texture_and_color_separately():
+    detected = (("circle", "red", "large"), ("stripes", "green", "fine"))
+    prompts = [CsPrompt((), ("stripes", "green", "coarse")), CsPrompt((), ("stripes", "blue", "fine")),
+               CsPrompt((), ("checker", "green", "fine")), CsPrompt((), ("solid", "red", "dark")),
+               CsPrompt(("circle", "red", "large"))]
+    report = EV.score(prompts, [detected] * 5, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert report.region_accuracy_surrounding == 1 / 4
+    assert report.texture_accuracy_surrounding == 2 / 4
+    assert report.color_accuracy_surrounding == 2 / 4
+    assert report.region_accuracy_center == 1.0
+    assert (report.center_mse, report.n_samples) == (3.0, 5)
+
+
+def test_score_sums_center_errors_left_to_right():
+    errors = [1.0, 1e-16, 1e-16, 1e-16, 1e-16]  # a compensated sum would keep the small terms
+    assert EV.score([CsPrompt()] * 5, [(("",) * 3, ("",) * 3)] * 5, errors).center_mse == 1.0 / 5
+
+
+def test_score_rejects_lists_of_different_lengths():
+    detected = (("circle", "red", "large"), ("solid", "red", "bright"))
+    with pytest.raises(ValueError):
+        EV.score([CsPrompt()] * 2, [detected], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        EV.score([CsPrompt()], [detected], [0.0, 0.0])

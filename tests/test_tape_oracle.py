@@ -1,9 +1,9 @@
 """Property-based oracle for the tape.
 
 Hypothesis draws small programs (at most 8 recorded operations) over the
-traced primitives, with broadcasting shapes, optional bias and gain, leaves
-that do or do not require gradients, and fan-out: any value may feed any
-later step, itself included. The loss is a weighted mean of every value no
+traced primitives, with broadcasting shapes, optional bias and gain,
+embedding ids that always repeat one row, leaves that do or do not require
+gradients, and fan-out: any value may feed any later step, itself included. The loss is a weighted mean of every value no
 step reads. For each program, ``backward`` must:
 
 - give every leaf the central-difference gradient, as an array of its shape;
@@ -36,6 +36,11 @@ OPS = {
     "layernorm_rows": T.layernorm_rows,
     "gelu": T.gelu,
     "mean_all": T.mean_all,
+    "sum_all": T.sum_all,
+    "permute": T.permute,
+    "reshape": T.reshape,
+    "slice_axis": T.slice_axis,
+    "embedding": T.embedding,
 }
 
 
@@ -76,11 +81,29 @@ def programs(draw):
             i = pick(lambda s: True)
             refs = (i, pick(lambda s: _broadcasts(s, shapes[i])))
             out = np.broadcast_shapes(shapes[refs[0]], shapes[refs[1]])
-        elif op in ("scale", "gelu", "mean_all"):
+        elif op in ("scale", "gelu", "mean_all", "sum_all"):
             refs = (pick(lambda s: True),)
-            out = () if op == "mean_all" else shapes[refs[0]]
+            out = () if op.endswith("_all") else shapes[refs[0]]
             if op == "scale":
                 extra = (draw(st.sampled_from([-1.5, 0.5, 2.0])),)
+        elif op in ("permute", "reshape"):
+            refs = (pick(lambda s: True),)
+            shape = shapes[refs[0]]
+            if op == "permute":
+                axes = tuple(draw(st.permutations(range(len(shape)))))
+                extra, out = (axes,), tuple(shape[a] for a in axes)
+            else:
+                size = int(np.prod(shape))
+                out = draw(st.sampled_from([(size,), (1, size), (size, 1)] + ([()] if size == 1 else [])))
+                extra = (out,)
+        elif op == "slice_axis":
+            refs = (pick(lambda s: len(s) > 0),)
+            shape = shapes[refs[0]]
+            axis = draw(st.integers(0, len(shape) - 1))
+            start = draw(st.integers(0, shape[axis] - 1))
+            stop = draw(st.integers(start + 1, shape[axis]))
+            extra = (axis, start, stop)
+            out = tuple(stop - start if a == axis else d for a, d in enumerate(shape))
         else:  # row and matrix operations take 2-d operands
             i = pick(lambda s: len(s) == 2)
             n, k = shapes[i]
@@ -92,6 +115,9 @@ def programs(draw):
                 m = shapes[j][1]
                 refs = (i, j, leaf((m,))) if draw(st.booleans()) else (i, j)
                 out = (n, m)
+            elif op == "embedding":  # the first id comes back, so two rows share one table row
+                ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+                refs, extra, out = (i,), (ids + ids[:1],), (len(ids) + 1, k)
             elif op == "transpose":
                 refs, out = (i,), (k, n)
             elif op == "concat":
