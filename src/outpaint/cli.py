@@ -201,20 +201,14 @@ def cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     samples = _load_samples(args.data, cfg)
     vocab = SD.vocabulary()
-    os.makedirs(args.out, exist_ok=True)
 
     def eval_arm(params, arm_cfg):
-        report = EV.evaluate(
-            params, arm_cfg.schedule(), samples, args.eval_n, vocab,
-            infer_steps=arm_cfg.infer_steps, seed=arm_cfg.seed,
-        )
-        return {
-            "region_accuracy_surrounding": report.region_accuracy_surrounding,
-            "center_mse": report.center_mse,
-        }
+        return EV.evaluate(params, arm_cfg.schedule(), samples, args.eval_n, vocab,
+                           infer_steps=arm_cfg.infer_steps, seed=arm_cfg.seed)
 
     rows = TR.run_ablation(cfg, samples, vocab, eval_fn=eval_arm)
     text = TR.format_ablation_report(rows)
+    os.makedirs(args.out, exist_ok=True)  # after every arm, so a failed one leaves no --out
     with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:
         fh.write(text)
     print(text, end="")

@@ -110,8 +110,9 @@ class BlockParams:
 
 @dataclass
 class DenoiserParams:
-    """All weights. A parameter's checkpoint name is its field path, with
-    ``metadata["name"]`` standing in for the field name where present."""
+    """All weights. A parameter's name, in checkpoints too, is its field path
+    only, with ``metadata["name"]`` standing in for the field name where
+    present; ``assemble`` builds the tensors by shape."""
 
     cfg: DenoiserConfig
     text_table: Tensor
@@ -152,8 +153,8 @@ def _named_tensors(node, prefix: str):
 
 
 def assemble(cfg: DenoiserConfig, vocab_size: int, make) -> DenoiserParams:
-    """The parameter layout: ``make(name, shape, init)`` builds every tensor,
-    once each, in ``named_parameters`` order.
+    """The parameter layout: ``make(shape, init)`` builds every tensor, once
+    each, in ``named_parameters`` order.
 
     ``init`` is "normal" (N(0, 0.02^2)), "zeros", "ones", "fusion" (see
     ``attention.init_fusion``) or, for a region branch, the base weight
@@ -161,47 +162,32 @@ def assemble(cfg: DenoiserConfig, vocab_size: int, make) -> DenoiserParams:
     """
     d, dt = cfg.d_model, cfg.d_text
 
-    def dense(w, b, n_in, n_out):
-        return make(w, (n_in, n_out), "normal"), make(b, (n_out,), "zeros")
+    def dense(n_in, n_out):
+        return make((n_in, n_out), "normal"), make((n_out,), "zeros")
 
-    def norm(g, b):
-        return make(g, (d,), "ones"), make(b, (d,), "zeros")
+    def norm():
+        return make((d,), "ones"), make((d,), "zeros")
 
-    def attn(pre, d_in):
-        q = make(pre + "w_q", (d, d), "normal")
-        return CrossAttnWeights(q, make(pre + "w_k", (d_in, d), "normal"), make(pre + "w_v", (d_in, d), "normal"))
+    def attn(d_in):
+        return CrossAttnWeights(make((d, d), "normal"), make((d_in, d), "normal"), make((d_in, d), "normal"))
 
-    def cts(pre):
-        base = attn(pre + "base.", dt)
-        return CtsAttnWeights(
-            base,
-            make(pre + "center.w_k", (dt, d), base.w_k),
-            make(pre + "center.w_v", (dt, d), base.w_v),
-            make(pre + "surround.w_k", (dt, d), base.w_k),
-            make(pre + "surround.w_v", (dt, d), base.w_v),
-            make(pre + "fusion", (), "fusion"),
-        )
+    def cts():
+        base = attn(dt)
+        branches = [make((dt, d), w) for w in (base.w_k, base.w_v, base.w_k, base.w_v)]
+        return CtsAttnWeights(base, *branches, make((), "fusion"))
 
-    def block(pre):
-        return BlockParams(
-            *norm(pre + "ln1_g", pre + "ln1_b"),
-            attn(pre + "self.", d),
-            *norm(pre + "ln2_g", pre + "ln2_b"),
-            cts(pre + "cross."),
-            *norm(pre + "ln3_g", pre + "ln3_b"),
-            *dense(pre + "ff_w1", pre + "ff_b1", d, 4 * d),
-            *dense(pre + "ff_w2", pre + "ff_b2", 4 * d, d),
-        )
+    def block():
+        return BlockParams(*norm(), attn(d), *norm(), cts(), *norm(), *dense(d, 4 * d), *dense(4 * d, d))
 
     return DenoiserParams(
         cfg,
-        make("text_table", (vocab_size, dt), "normal"),
-        *dense("patch_w", "patch_b", cfg.patch_dim, d),
-        *dense("time_w1", "time_b1", d, 4 * d),
-        *dense("time_w2", "time_b2", 4 * d, d),
-        [block(f"block{i}.") for i in range(cfg.n_blocks)],
-        *norm("out_ln_g", "out_ln_b"),
-        *dense("out_w", "out_b", d, cfg.out_patch_dim),
+        make((vocab_size, dt), "normal"),
+        *dense(cfg.patch_dim, d),
+        *dense(d, 4 * d),
+        *dense(4 * d, d),
+        [block() for _ in range(cfg.n_blocks)],
+        *norm(),
+        *dense(d, cfg.out_patch_dim),
     )
 
 
@@ -216,7 +202,7 @@ def init_denoiser_params(
     fusion scalars last, so that runs differing only in fusion mode share
     bitwise identical base parameters."""
 
-    def make(name, shape, init):
+    def make(shape, init):
         if isinstance(init, Tensor):
             return init.copy(requires_grad=True)
         if init == "fusion":

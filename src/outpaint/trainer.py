@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class GeometryMismatch(ValueError):
 
 
 class CorruptCheckpoint(ValueError):
-    """Checkpoint file has a bad magic, bad length, or missing tensors."""
+    """Checkpoint file has a bad magic, a bad length, or records other than ``_records`` lists."""
 
 
 class ConfigError(ValueError):
@@ -277,7 +277,9 @@ def run_training(
 # Layout; every integer is a little-endian u32:
 #   magic, header length, config header (`name=repr(value)` lines, UTF-8),
 #   record count, then per record: name length, UTF-8 name, rank, dims, and
-#   the tensor's little-endian f64 data in C order.
+#   the tensor's little-endian f64 data in C order. Records come in
+#   ``_records`` order; a name is a parameter's field path (``named_parameters``)
+#   and a load reads the records back in that order.
 
 _MAGIC = b"OUTPAINT-CKPT-1\n"
 
@@ -295,20 +297,26 @@ def _parse_header(blob: bytes) -> TrainConfig:
         raise CorruptCheckpoint(f"bad config header: {exc}") from None
 
 
-def save_checkpoint(params: DN.DenoiserParams, opt: Adam, cfg: TrainConfig, path) -> None:
-    """Parameters in declaration order, the optimizer step counter, then
-    both moment buffers. A failed write leaves any previous file at ``path``
-    whole."""
-    entries = [(name, t.data) for name, t in params.named_parameters()]
-    entries.append(("opt.t", np.array(float(opt.t))))
+def _records(params: DN.DenoiserParams, opt: Adam):
+    """Every checkpoint record as (name, array), in file order: the parameters,
+    the optimizer step counter, then both moments of each trainable parameter."""
+    yield from ((name, t.data) for name, t in params.named_parameters())
+    yield "opt.t", np.array(float(opt.t))
     for name, _ in params.trainable_parameters():
-        entries += [(f"opt.m.{name}", opt.m[name]), (f"opt.v.{name}", opt.v[name])]
+        yield f"opt.m.{name}", opt.m[name]
+        yield f"opt.v.{name}", opt.v[name]
+
+
+def save_checkpoint(params: DN.DenoiserParams, opt: Adam, cfg: TrainConfig, path) -> None:
+    """Write ``_records`` under the config header. A failed write leaves any
+    previous file at ``path`` whole."""
+    records = list(_records(params, opt))
     header = _config_header(cfg)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_MAGIC + struct.pack("<I", len(header)) + header + struct.pack("<I", len(entries)))
-            for name, arr in entries:
+            fh.write(_MAGIC + struct.pack("<I", len(header)) + header + struct.pack("<I", len(records)))
+            for name, arr in records:
                 raw, data = name.encode("utf-8"), np.asarray(arr, dtype="<f8")
                 fh.write(struct.pack(f"<I{len(raw)}sI{data.ndim}I", len(raw), raw, data.ndim, *data.shape))
                 fh.write(data.tobytes())
@@ -320,8 +328,10 @@ def save_checkpoint(params: DN.DenoiserParams, opt: Adam, cfg: TrainConfig, path
 
 
 def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams, Adam, TrainConfig]:
-    """Rebuild (params, opt, cfg) exactly as saved. No length read from the
-    file is trusted beyond the bytes the file has left."""
+    """Rebuild (params, opt, cfg) exactly as saved, reading the records once,
+    in ``_records`` order. No length read from the file is trusted beyond the
+    bytes the file has left, and no record's data is read before its dims
+    match the shape the model asks for."""
     vocab = vocab or SD.vocabulary()
     try:
         with open(path, "rb") as fh:
@@ -338,48 +348,46 @@ def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams
                 return struct.unpack("<I", read(4))[0]
 
             cfg = _parse_header(read(u32()))
-            blobs: dict[str, np.ndarray] = {}
-            for _ in range(u32()):
-                name = read(u32()).decode("utf-8")
+            fusion_mode, constant = parse_fusion_mode(cfg.a_mode)
+            count, names = u32(), []
+
+            def record(shape: tuple) -> np.ndarray:
+                if len(names) == count:
+                    raise CorruptCheckpoint(f"{path}: more records expected than the {count} declared")
+                names.append(read(u32()).decode("utf-8"))
                 rank = u32()
                 if rank > 32:
                     raise CorruptCheckpoint(f"{path}: implausible tensor rank {rank}")
                 dims = struct.unpack(f"<{rank}I", read(4 * rank))
-                data = read(8 * math.prod(dims))  # rank 0: prod(()) == 1
-                blobs[name] = np.frombuffer(data, dtype="<f8").reshape(dims).astype(np.float64)
+                if dims != shape:
+                    raise CorruptCheckpoint(f"{path}: record {names[-1]} has shape {dims}, expected {shape}")
+                return np.frombuffer(read(8 * math.prod(dims)), dtype="<f8").reshape(dims).astype(np.float64)
+
+            def make(shape, init):
+                data = record(shape)
+                if init != "fusion":
+                    return Tensor(data, requires_grad=True)
+                if constant is not None and data != constant:  # the model must use the constant its header reports
+                    raise CorruptCheckpoint(f"{path}: fusion {names[-1]} is {float(data)!r}, not {cfg.a_mode}")
+                return A.fusion_scalar(data, fusion_mode)
+
+            params = DN.assemble(cfg, vocab.size, make)
+            step = record(())
+            if not (step >= 0 and float(step).is_integer()):
+                raise CorruptCheckpoint(f"{path}: bad optimizer step counter {float(step)!r}")
+            opt = Adam(params.trainable_parameters(), lr=cfg.learning_rate)
+            opt.t = int(step)
+            for name, p in opt.named_params:
+                opt.m[name], opt.v[name] = record(p.shape), record(p.shape)
             if fh.read(1):
                 raise CorruptCheckpoint(f"{path}: trailing bytes")
     except (EOFError, UnicodeDecodeError) as exc:
         raise CorruptCheckpoint(f"{path}: truncated or garbled ({exc})") from None
-
-    fusion_mode, constant = parse_fusion_mode(cfg.a_mode)
-
-    def take(name, shape):
-        # the file's own arrays, checked, so header sizes never allocate more than the file holds
-        blob = blobs.pop(name, None)
-        if blob is None or blob.shape != shape:
-            found = "missing" if blob is None else f"of shape {blob.shape}"
-            raise CorruptCheckpoint(f"{path}: tensor {name} is {found}, expected shape {shape}")
-        return blob
-
-    def make(name, shape, init):
-        blob = take(name, shape)
-        if init != "fusion":
-            return Tensor(blob, requires_grad=True)
-        if constant is not None and blob != constant:  # the model must use the constant its header reports
-            raise CorruptCheckpoint(f"{path}: tensor {name} is {float(blob)!r}, header says {cfg.a_mode}")
-        return A.fusion_scalar(blob, fusion_mode)
-
-    params = DN.assemble(cfg, vocab.size, make)
-    step = blobs.pop("opt.t", None)
-    if step is None or step.shape != () or not (step >= 0 and float(step).is_integer()):
-        raise CorruptCheckpoint(f"{path}: missing or bad optimizer step counter")
-    opt = Adam(params.trainable_parameters(), lr=cfg.learning_rate)
-    opt.t = int(step)
-    for name, p in opt.named_params:
-        opt.m[name], opt.v[name] = take("opt.m." + name, p.shape), take("opt.v." + name, p.shape)
-    if blobs:
-        raise CorruptCheckpoint(f"{path}: unexpected tensors {sorted(blobs)}")
+    if count != len(names):
+        raise CorruptCheckpoint(f"{path}: {count} records declared, {len(names)} expected")
+    for got, (want, _) in zip(names, _records(params, opt)):
+        if got != want:
+            raise CorruptCheckpoint(f"{path}: record {got!r} where {want!r} belongs")
     return params, opt, cfg
 
 
@@ -409,7 +417,8 @@ def run_ablation(
 
     Because fusion scalars are initialized after every shared parameter,
     all arms start from checksum-identical base weights. Returns one report
-    row per arm with initial/final fusion values and optional eval metrics.
+    row per arm with initial/final fusion values and, given ``eval_fn``, the
+    ``EvalReport`` it returns for the trained arm.
     """
     rows = []
     for mode in ABLATION_MODES:
@@ -426,25 +435,19 @@ def run_ablation(
         row["loss_first"] = float(np.mean(losses[:window]))
         row["loss_last"] = float(np.mean(losses[-window:]))
         if eval_fn is not None:
-            row["metrics"] = eval_fn(params, cfg)
+            row["report"] = eval_fn(params, cfg)
         rows.append(row)
     return rows
 
 
 def format_ablation_report(rows: list[dict]) -> str:
-    lines = ["a_mode\tbase_checksum\tfusion_init\tfusion_final\tloss_first\tloss_last\tmetrics"]
-    for row in rows:
-        lines.append(
-            "\t".join(
-                [
-                    row["a_mode"],
-                    row["base_checksum"][:12],
-                    ",".join(f"{v:.6f}" for v in row["fusion_init"]),
-                    ",".join(f"{v:.6f}" for v in row["fusion_final"]),
-                    f"{row['loss_first']:.6f}",
-                    f"{row['loss_last']:.6f}",
-                    repr(row.get("metrics", {})),
-                ]
-            )
-        )
+    """Tab-separated, one line per arm; each ``EvalReport`` field gets a column."""
+    reports = [asdict(row["report"]) if "report" in row else {} for row in rows]
+    header = ["a_mode", "base_checksum", "fusion_init", "fusion_final", "loss_first", "loss_last", *reports[0]]
+    lines = ["\t".join(header)]
+    for row, report in zip(rows, reports):
+        fusion = [",".join(f"{v:.6f}" for v in row[key]) for key in ("fusion_init", "fusion_final")]
+        losses = [f"{row[key]:.6f}" for key in ("loss_first", "loss_last")]
+        cells = [row["a_mode"], row["base_checksum"][:12], *fusion, *losses, *map(repr, report.values())]
+        lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

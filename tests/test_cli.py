@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import filecmp
+import io
 import os
 import resource
 import struct
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from outpaint import cli
+from outpaint import evaluation as EV
 from outpaint import ppm
 from outpaint import synthdata as SD
 from outpaint import trainer as TR
@@ -518,3 +521,19 @@ def test_ablate_smoke(tmp_path, toy_run):
     text = open(os.path.join(out, "ablation.tsv")).read()
     assert text.splitlines()[0].startswith("a_mode")
     assert len(text.splitlines()) == 4
+    rows = list(csv.DictReader(io.StringIO(text), delimiter="\t"))
+    assert [r["a_mode"] for r in rows] == list(TR.ABLATION_MODES)
+    for row in rows:
+        assert None not in row and None not in row.values()  # as many fields as the header names
+        assert int(row["n_samples"]) == 2
+        for f in dataclasses.fields(EV.EvalReport):
+            float(row[f.name])
+
+
+def test_failed_ablate_exits_3_and_leaves_no_out(tmp_path, toy_run, capsys):
+    out = tmp_path / "ab"
+    flags = TOY_FLAGS + ["--learning-rate", "1e200"]
+    assert run(["ablate", "--data", toy_run[0], "--out", str(out), "--eval-n", "2"] + flags) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "NonFiniteTraining: step 2:" in err[0], err
+    assert not out.exists()

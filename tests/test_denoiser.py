@@ -90,14 +90,15 @@ def test_parameter_count_is_pure_function_of_config():
 def test_assemble_makes_parameters_in_named_order(cfg):
     calls = []
 
-    def make(name, shape, init):
-        calls.append((name, shape))
-        return Tensor(np.zeros(shape))
+    def make(shape, init):
+        calls.append((shape, Tensor(np.zeros(shape))))
+        return calls[-1][1]
 
-    params = DN.assemble(cfg, VOCAB.size, make)
-    assert calls == [(n, t.shape) for n, t in params.named_parameters()]
+    named = DN.assemble(cfg, VOCAB.size, make).named_parameters()
+    assert len(calls) == len(named)
+    assert all(made is t and made.shape == shape for (shape, made), (_, t) in zip(calls, named))
     initialized = DN.init_denoiser_params(cfg, VOCAB, rng(6))
-    assert calls == [(n, t.shape) for n, t in initialized.named_parameters()]
+    assert [shape for shape, _ in calls] == [t.shape for _, t in initialized.named_parameters()]
 
 
 def test_end_to_end_gradients_match_finite_differences():

@@ -523,6 +523,65 @@ def test_mutated_checkpoint_loads_or_raises_corrupt(toy_checkpoint, data):
         pass
 
 
+def _split_checkpoint(raw: bytes):
+    """A checkpoint's bytes up to its record count, and its records as [name, dims, data]."""
+    pos = len(TR._MAGIC)
+    pos += 4 + struct.unpack_from("<I", raw, pos)[0]
+    head, (count,) = raw[:pos], struct.unpack_from("<I", raw, pos)
+    pos += 4
+    records = []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<I", raw, pos)
+        name = raw[pos + 4:pos + 4 + n].decode()
+        (rank,) = struct.unpack_from("<I", raw, pos + 4 + n)
+        dims = struct.unpack_from(f"<{rank}I", raw, pos + 8 + n)
+        start = pos + 8 + n + 4 * rank
+        pos = start + 8 * math.prod(dims)
+        records.append([name, dims, raw[start:pos]])
+    assert pos == len(raw)
+    return head, records
+
+
+def _join_checkpoint(head: bytes, records, count=None) -> bytes:
+    out = [head, struct.pack("<I", len(records) if count is None else count)]
+    for name, dims, data in records:
+        raw = name.encode()
+        out.append(struct.pack(f"<I{len(raw)}sI{len(dims)}I", len(raw), raw, len(dims), *dims) + data)
+    return b"".join(out)
+
+
+def _rewritten(raw: bytes, kind: str) -> bytes:
+    head, records = _split_checkpoint(raw)
+    assert _join_checkpoint(head, records) == raw
+    names, count = [name for name, _, _ in records], len(records)
+    if kind == "swapped":  # two records of one shape trade places, names included
+        i, j = names.index("block0.ln1_g"), names.index("block0.ln1_b")
+        records[i], records[j] = records[j], records[i]
+    elif kind == "renamed":
+        records[names.index("out_b")][0] = "out_bias"
+    elif kind in ("count_low", "count_high"):
+        count += 1 if kind == "count_high" else -1
+    elif kind == "rank_33":
+        records[0][1:] = [(1,) * 33, struct.pack("<d", 0.0)]
+    elif kind == "transposed":
+        records[0][1] = records[0][1][::-1]
+    elif kind in ("negative_step", "fractional_step"):
+        records[names.index("opt.t")][2] = struct.pack("<d", -1.0 if kind == "negative_step" else 0.5)
+    return _join_checkpoint(head, records, count) + (b"\0" if kind == "trailing_byte" else b"")
+
+
+@pytest.mark.parametrize("kind", ["swapped", "renamed", "count_low", "count_high", "rank_33", "transposed",
+                                  "negative_step", "fractional_step", "trailing_byte"])
+def test_checkpoint_records_must_come_as_written(toy_checkpoint, tmp_path, kind):
+    bad = tmp_path / f"{kind}.ckpt"
+    bad.write_bytes(_rewritten(toy_checkpoint.read_bytes(), kind))
+    with pytest.raises(TR.CorruptCheckpoint):
+        TR.load_checkpoint(bad, VOCAB)
+    out = tmp_path / "x.ppm"
+    assert cli.main(["sample", "--ckpt", str(bad), "--steps", "2", "--out", str(out)]) == cli.EXIT_CHECKPOINT
+    assert not out.exists()
+
+
 class DiskFull(OSError):
     pass
 
