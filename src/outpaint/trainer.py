@@ -1,11 +1,11 @@
 """Fine-tuning loop, optimizer, checkpoints, and the fusion-mode ablation.
 
-Each step draws a batch, noises every sample to a uniformly random
-timestep, runs the denoiser on (noisy, image, mask, prompt), takes the
-mean squared error against the added noise, and applies one Adam update to
-all trainable parameters. All randomness for step k comes from a generator
-derived from (seed, k), so resuming from a checkpoint continues the exact
-trajectory of an uninterrupted run.
+Each step draws a batch, noises every sample to a uniformly random timestep,
+runs the denoiser on (noisy, image, mask, prompt), backpropagates the mean
+squared error against the added noise before the next sample's forward, and
+applies one Adam update to every trainable parameter. All randomness for step k
+comes from a generator derived from (seed, k), so resuming from a checkpoint
+continues the exact trajectory of an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -208,30 +208,31 @@ def train_step(
     vocab: Vocab,
     grad_clip: float = 1.0,
 ) -> float:
-    """One optimization step over a batch; returns the pre-update loss. A
-    non-finite loss or pre-clip gradient norm raises ``NonFiniteTraining``
-    before the update."""
+    """One optimization step over a batch; returns the pre-update loss (sample
+    losses summed in batch order, then scaled by 1/B). Each sample's scaled
+    loss is backpropagated as soon as its forward ends, so a step holds one
+    sample's tape and its memory does not grow with B; the B ``backward``
+    calls add up in the leaf gradients. A sample of the wrong geometry raises
+    before any gradient is written, a non-finite loss or pre-clip gradient
+    norm (``NonFiniteTraining``) before the update."""
     if not batch:
         raise ValueError("empty batch")
     cfg = params.cfg
-    losses = []
     for sample in batch:
         if sample.image.shape != cfg.image_shape:
             raise GeometryMismatch(f"sample {sample.image.shape} vs model {cfg.image_shape}")
+    weight, loss_sum = 1.0 / len(batch), 0.0
+    opt.zero_grad()
+    for sample in batch:
         t = int(rng.integers(1, schedule.t_steps + 1))
         eps = rng.standard_normal(cfg.image_shape)
         x_t = D.forward_sample(sample.image, t, eps, schedule)
         pe = tokenize_and_embed(sample.caption, vocab, params.text_table, cfg.l_center, cfg.l_surround)
-        pred = DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe)
-        losses.append(D.training_loss(eps, pred))
-    total = losses[0]
-    for extra in losses[1:]:
-        total = T.add(total, extra)
-    total = T.scale(total, 1.0 / len(losses))
-    loss_value = total.item()
-
-    opt.zero_grad()
-    backward(total)
+        loss = D.training_loss(eps, DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe))
+        backward(T.scale(loss, weight))
+        loss_sum += loss.item()
+        del pe, loss  # the next forward must not start while this sample's tape is alive
+    loss_value = loss_sum * weight
     grad_norm = clip_gradients(opt.named_params, grad_clip)
     if not (math.isfinite(loss_value) and math.isfinite(grad_norm)):
         raise NonFiniteTraining(f"step {opt.t + 1}: loss {loss_value}, gradient norm {grad_norm}")

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import struct
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from outpaint import cli
 from outpaint import denoiser as DN
+from outpaint import diffusion as D
 from outpaint import synthdata as SD
 from outpaint import tensor as T
 from outpaint import trainer as TR
+from outpaint.prompt import UNCONDITIONAL, tokenize_and_embed
 from outpaint.tensor import Tensor
 
 
@@ -318,6 +321,63 @@ def test_default_train_step_records_at_most_744_tensors():
     assert next_node_id() - before <= 744
 
 
+def one_tape_step(batch, params, opt, schedule, rng, vocab) -> float:
+    """The step as one tape: every sample's forward, the summed and scaled
+    losses, then a single ``backward``. Leaves the gradients unclipped."""
+    cfg = params.cfg
+    losses = []
+    for sample in batch:
+        t = int(rng.integers(1, schedule.t_steps + 1))
+        eps = rng.standard_normal(cfg.image_shape)
+        x_t = D.forward_sample(sample.image, t, eps, schedule)
+        pe = tokenize_and_embed(sample.caption, vocab, params.text_table, cfg.l_center, cfg.l_surround)
+        losses.append(D.training_loss(eps, DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe)))
+    total = losses[0]
+    for extra in losses[1:]:
+        total = T.add(total, extra)
+    total = T.scale(total, 1.0 / len(losses))
+    opt.zero_grad()
+    T.backward(total)
+    return total.item()
+
+
+@pytest.mark.parametrize("cfg", [TOY, TR.TrainConfig()], ids=["toy", "default"])
+def test_per_sample_backward_matches_the_one_tape_step(cfg):
+    spec = SD.SynthSpec(image_size=cfg.image_size, center_size=cfg.center_size)
+    samples, _ = SD.build_dataset(cfg.batch_size, seed=5, spec=spec)
+    samples[1] = replace(samples[1], caption=UNCONDITIONAL)  # all PAD: that text_table row sums most across samples
+
+    def run(step, *clip):
+        params = TR.init_model(cfg, VOCAB)
+        opt = TR.Adam(params.trainable_parameters(), lr=cfg.learning_rate)
+        loss = step(samples, params, opt, cfg.schedule(), TR.step_rng(cfg.seed, 0), VOCAB, *clip)
+        return loss, {name: p.grad for name, p in opt.named_params}
+
+    loss, grads = run(TR.train_step, 0.0)  # no clipping: the gradients stay as backward wrote them
+    want_loss, want_grads = run(one_tape_step)
+    assert loss == want_loss
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        assert grads[name].shape == want.shape, name
+        assert np.linalg.norm(grads[name] - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+def test_each_sample_tape_is_freed_before_the_next_forward(monkeypatch):
+    forward, outputs, alive = DN.forward, [], []
+
+    def watched(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in outputs))
+        pred = forward(*args, **kwargs)
+        outputs.append(weakref.ref(pred.data))  # Tensor has __slots__; its array can be watched
+        return pred
+
+    monkeypatch.setattr(DN, "forward", watched)
+    params = TR.init_model(TOY, VOCAB)
+    opt = TR.Adam(params.trainable_parameters(), lr=TOY.learning_rate)
+    TR.train_step(toy_samples()[:4], params, opt, TOY.schedule(), TR.step_rng(0, 0), VOCAB)
+    assert alive == [0, 0, 0, 0]
+
+
 def test_zero_learning_rate_freezes_parameters():
     samples = toy_samples()
     params = TR.init_model(TOY, VOCAB)
@@ -348,6 +408,12 @@ def test_geometry_mismatch_rejected():
     bad = SD.generate(0)  # 16x16 sample vs 12x12 model
     with pytest.raises(TR.GeometryMismatch):
         TR.train_step([bad], params, opt, TOY.schedule(), TR.step_rng(0, 0), VOCAB)
+    before = TR.params_checksum(params)
+    with pytest.raises(TR.GeometryMismatch):  # raised before the good sample is backpropagated
+        TR.train_step([toy_samples()[0], bad], params, opt, TOY.schedule(), TR.step_rng(0, 0), VOCAB)
+    assert TR.params_checksum(params) == before
+    assert opt.t == 0
+    assert all(p.grad is None for _, p in opt.named_params)
 
 
 def test_run_training_only_trainable_parameters_change():
