@@ -26,7 +26,7 @@ def byte_to_float(raw: np.ndarray) -> np.ndarray:
 
 
 def _write_raster(path, magic: bytes, raw: np.ndarray) -> None:
-    """(H, W[, channels]) bytes behind a maxval-255 header; the inverse of ``_read_raster``."""
+    """(H, W[, channels]) bytes behind a maxval-255 header; the inverse of ``read_raster``."""
     h, w = raw.shape[:2]
     with open(path, "wb") as fh:
         fh.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
@@ -71,23 +71,31 @@ def _read_header(fh, magic: bytes):
     return w, h
 
 
-def _read_raster(path, magic: bytes, channels: int) -> np.ndarray:
-    """(H, W, channels) bytes; a size beyond the end of the file is never allocated."""
+def read_raster(path, magic: bytes) -> np.ndarray:
+    """(H, W, 3) bytes of a P6 file or (H, W, 1) of a P5; a size beyond the end of the file is never allocated."""
     with open(path, "rb") as fh:
-        w, h = _read_header(fh, magic)
-        n = channels * w * h
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if n > left:
-            raise BadImageFile(f"expected {n} pixel bytes, only {left} left")
+        try:
+            w, h = _read_header(fh, magic)
+            n = (3 if magic == b"P6" else 1) * w * h
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if n > left:
+                raise BadImageFile(f"expected {n} pixel bytes, only {left} left")
+        except BadImageFile as exc:
+            raise BadImageFile(f"{path}: {exc}") from None
         raw = fh.read(n)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, -1)
+
+
+def from_raster(raw: np.ndarray) -> np.ndarray:
+    """A P6 raster as a (3, H, W) float image in [-1, 1], a P5 one as an (H, W) mask in {0, 1}."""
+    return byte_to_float(raw.transpose(2, 0, 1)) if raw.shape[2] == 3 else (raw[:, :, 0] >= 128).astype(np.float64)
 
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 file back to a (3, H, W) float image in [-1, 1]."""
-    return byte_to_float(_read_raster(path, b"P6", 3).transpose(2, 0, 1))
+    return from_raster(read_raster(path, b"P6"))
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary P5 mask back to (H, W) floats in {0, 1}."""
-    return (_read_raster(path, b"P5", 1)[:, :, 0] >= 128).astype(np.float64)
+    return from_raster(read_raster(path, b"P5"))

@@ -86,7 +86,8 @@ class SynthSample:
 # -- geometry pieces -------------------------------------------------------
 # Every piece that depends on sizes alone (index grids, the center mask,
 # shape templates, texture patterns) is built once per geometry and cached
-# read-only; each sample is assembled from them into fresh arrays of its own.
+# read-only. `generate` assembles a sample from them into fresh arrays of its
+# own; a dataset shares one read-only image per caption and the center mask.
 # The caches hold no colored image, so they stay O(image_size^2): about 44 MB
 # when full at the 1,024 px ceiling.
 
@@ -205,8 +206,8 @@ def render_surrounding_field(texture: str, color: str, qualifier: str, image_siz
     return field
 
 
-def generate(seed: int, spec: SynthSpec = DEFAULT_SPEC) -> SynthSample:
-    """Render one sample; captions are correct by construction."""
+def draw_caption(seed: int) -> CsPrompt:
+    """The seed's six keywords, drawn in caption order."""
     rng = np.random.default_rng(seed)
     shape = SHAPES[rng.integers(len(SHAPES))]
     center_color = COLORS[rng.integers(len(COLORS))]
@@ -215,16 +216,22 @@ def generate(seed: int, spec: SynthSpec = DEFAULT_SPEC) -> SynthSample:
     surround_color = COLORS[rng.integers(len(COLORS))]
     pool = SHADES if texture == "solid" else DENSITIES
     qualifier = pool[rng.integers(len(pool))]
+    return CsPrompt((shape, center_color, size_word), (texture, surround_color, qualifier))
 
-    mask, block = _center(spec.image_size, spec.center_size)
+
+def render_image(caption: CsPrompt, spec: SynthSpec = DEFAULT_SPEC) -> np.ndarray:
+    """(3, H, W) image in [-1, 1] that a full six-keyword caption describes."""
+    (shape, center_color, size_word), (texture, surround_color, qualifier) = caption.center, caption.surrounding
     img = render_surrounding_field(texture, surround_color, qualifier, spec.image_size)
+    block = _center(spec.image_size, spec.center_size)[1]
     img[(slice(None),) + block] = render_center_tile(shape, center_color, size_word, spec.center_size)
+    return img * 2.0 - 1.0
 
-    caption = CsPrompt(
-        (shape, center_color, size_word),
-        (texture, surround_color, qualifier),
-    )
-    return SynthSample(image=img * 2.0 - 1.0, pixel_mask=mask.copy(), caption=caption)
+
+def generate(seed: int, spec: SynthSpec = DEFAULT_SPEC) -> SynthSample:
+    """Render one sample into arrays of its own; captions are correct by construction."""
+    caption = draw_caption(seed)
+    return SynthSample(render_image(caption, spec), make_center_mask(spec.image_size, spec.center_size), caption)
 
 
 def split_conditional(samples: Sequence[SynthSample], uncond_fraction: float, seed: int) -> list[SynthSample]:
@@ -253,19 +260,22 @@ def build_dataset(
 ) -> tuple[list[SynthSample], list[int]]:
     """Generate n samples with per-sample seeds derived from the base seed.
 
-    Irregular masks keep at least the center square's share of the image.
+    Samples share one read-only image per caption and, unless irregular, the
+    read-only center mask, so copy before writing. Irregular masks keep at
+    least the center square's share of the image.
     """
     seeds = [
         int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
         for i in range(n)
     ]
-    samples = [generate(s, spec) for s in seeds]
+    captions = [draw_caption(s) for s in seeds]
+    images = {c: _read_only(render_image(c, spec)) for c in dict.fromkeys(captions)}
     if irregular:
         keep = (spec.center_size / spec.image_size) ** 2
-        samples = [
-            replace(s, pixel_mask=make_irregular_mask(sd, spec.image_size, keep))
-            for s, sd in zip(samples, seeds)
-        ]
+        masks = [_read_only(make_irregular_mask(s, spec.image_size, keep)) for s in seeds]
+    else:
+        masks = [_center(spec.image_size, spec.center_size)[0]] * n
+    samples = [SynthSample(images[c], m, c) for c, m in zip(captions, masks)]
     if uncond_fraction:
         samples = split_conditional(samples, uncond_fraction, seed)
     return samples, seeds
@@ -317,25 +327,31 @@ def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) 
 
 
 def load_dataset(in_dir) -> tuple[list[SynthSample], list[int]]:
-    def inside(rel):
+    """A saved dataset, whose files with equal pixel bytes share one read-only
+    array as in ``build_dataset``; an error names its manifest line."""
+    manifest = os.path.join(in_dir, "manifest.tsv")
+    shared = {}  # (raster shape, raster bytes) -> the one read-only array decoded from them
+
+    def read(rel, magic):
         if os.path.isabs(rel) or os.pardir in rel.split(os.sep):
-            raise ValueError(f"{in_dir}: manifest path {rel!r} leaves the dataset directory")
-        return os.path.join(in_dir, rel)
+            raise ValueError(f"manifest path {rel!r} leaves the dataset directory")
+        raw = ppm.read_raster(os.path.join(in_dir, rel), magic)
+        key = raw.shape, raw.tobytes()
+        if key not in shared:
+            shared[key] = _read_only(ppm.from_raster(raw))
+        return shared[key]
 
     samples = []
     seeds = []
-    with open(os.path.join(in_dir, "manifest.tsv"), encoding="utf-8") as fh:
-        for line in fh:
+    with open(manifest, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            seed_s, img_rel, mask_rel, caption = line.split("\t")
-            samples.append(
-                SynthSample(
-                    image=ppm.read_ppm(inside(img_rel)),
-                    pixel_mask=ppm.read_pgm(inside(mask_rel)),
-                    caption=parse(caption),
-                )
-            )
-            seeds.append(int(seed_s))
+            try:
+                seed_s, img_rel, mask_rel, caption = line.split("\t")
+                samples.append(SynthSample(read(img_rel, b"P6"), read(mask_rel, b"P5"), parse(caption)))
+                seeds.append(int(seed_s))
+            except (OSError, ValueError) as exc:
+                raise type(exc)(f"{manifest}:{number}: {exc}") from exc
     return samples, seeds

@@ -206,6 +206,41 @@ def test_over_long_caption_exits_3_before_anything_is_written(tmp_path, toy_run,
         assert not out.exists(), argv[0]
 
 
+def _extra_field(data, fields):
+    fields.append("extra")
+
+
+def _bad_seed(data, fields):
+    fields[0] = "abc"
+
+
+def _corrupt_image(data, fields):
+    (data / fields[1]).write_bytes(b"XX\n12 12\n255\n" + bytes(3 * 12 * 12))
+
+
+@pytest.mark.parametrize("break_line,error,names_image", [
+    (_extra_field, "ValueError", False),
+    (_bad_seed, "ValueError", False),
+    (_corrupt_image, "BadImageFile", True),
+])
+def test_bad_manifest_line_error_names_the_line_and_file(tmp_path, capsys, break_line, error, names_image):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", str(data), "--n", "3", "--seed", "3",
+                "--image-size", "12", "--center-size", "8"]) == 0
+    manifest = data / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    fields = lines[1].split("\t")
+    break_line(data, fields)
+    lines[1] = "\t".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--out", str(tmp_path / "run")] + TOY_FLAGS) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"outpaint: {error}: {manifest}:2: " in err[0], err
+    assert not names_image or f"{data / fields[1]}: " in err[0], err
+    assert not (tmp_path / "run").exists()
+
+
 def test_non_finite_sample_exits_3_and_writes_no_image(tmp_path, toy_run, capsys):
     data, _ = toy_run
     run_dir = tmp_path / "nan"
