@@ -343,15 +343,19 @@ def load_dataset(in_dir) -> tuple[list[SynthSample], list[int]]:
 
     samples = []
     seeds = []
-    with open(manifest, encoding="utf-8") as fh:
+    with open(manifest, encoding="utf-8", errors="surrogateescape") as fh:  # a byte not UTF-8 fails on its line
         for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             try:
+                line.encode("utf-8")  # raises at a surrogate-escaped byte
                 seed_s, img_rel, mask_rel, caption = line.split("\t")
                 samples.append(SynthSample(read(img_rel, b"P6"), read(mask_rel, b"P5"), parse(caption)))
                 seeds.append(int(seed_s))
+            except UnicodeEncodeError as exc:  # a ValueError that type(exc) cannot rebuild from one message
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ValueError(f"{manifest}:{number}: not UTF-8 text (byte 0x{byte:02x})") from exc
             except (OSError, ValueError) as exc:
                 raise type(exc)(f"{manifest}:{number}: {exc}") from exc
     return samples, seeds

@@ -13,20 +13,24 @@ layer (``matmul`` with ``bias``) and an affine layer norm (``layernorm_rows``
 with ``gain`` and ``bias``) are one node each. Kernels update their own
 temporaries in place, never an input or the incoming gradient (``add`` hands
 one array to both parents). There is no parallelism and no in-place graph
-surgery; the tape is rebuilt on every forward pass.
+surgery; the tape is rebuilt on every forward pass. ``gelu``'s ``erf`` is
+scipy's compiled ufunc, loaded from its extension module without ``scipy.special``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import heapq
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 
 class ShapeMismatch(ValueError):
@@ -350,6 +354,24 @@ def layernorm_rows(x, gain=None, bias=None) -> Tensor:
     return _record(data, (x,) if gain is None else (x, gain, bias), vjp)
 
 
+def _load_erf():
+    """scipy's ``erf`` ufunc from the one extension module that defines it, or from ``scipy.special``
+    (about 280 modules and a second OpenBLAS) where that module is missing, fails to load or has no erf."""
+    scipy = importlib.util.find_spec("scipy")  # locates the package, imports nothing
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy else ():
+        path = os.path.join(os.path.dirname(scipy.origin), "special", "_special_ufuncs" + suffix)
+        spec = importlib.util.spec_from_file_location("scipy.special._special_ufuncs", path)
+        try:
+            module = importlib.util.module_from_spec(spec)  # ImportError where the file is missing or will not load
+            spec.loader.exec_module(module)
+            sys.modules.pop(spec.name, None)  # a later scipy.special import then binds it as its submodule
+            return module.erf
+        except (ImportError, AttributeError):
+            continue
+    return importlib.import_module("scipy.special").erf
+
+
+_erf = _load_erf()
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 

@@ -241,6 +241,20 @@ def test_bad_manifest_line_error_names_the_line_and_file(tmp_path, capsys, break
     assert not (tmp_path / "run").exists()
 
 
+def test_non_utf8_manifest_byte_error_names_the_line_and_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", str(data), "--n", "3", "--seed", "3",
+                "--image-size", "12", "--center-size", "8"]) == 0
+    manifest = data / "manifest.tsv"
+    manifest.write_bytes(manifest.read_bytes().rstrip(b"\n") + b"\xff\n")
+    before = tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--out", str(tmp_path / "run")] + TOY_FLAGS) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"outpaint: ValueError: {manifest}:3: not UTF-8 text (byte 0xff)" in err[0], err
+    assert tree_bytes(tmp_path) == before
+
+
 def test_non_finite_sample_exits_3_and_writes_no_image(tmp_path, toy_run, capsys):
     data, _ = toy_run
     run_dir = tmp_path / "nan"

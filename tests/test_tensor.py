@@ -350,3 +350,36 @@ def test_heap_limits_are_set_together_or_not_at_all(monkeypatch):
     monkeypatch.setattr(T.ctypes, "CDLL", lambda _name: accepting)
     assert T._keep_freed_heap() is True
     assert accepting.calls == [(T._M_MMAP_THRESHOLD, 32 << 20), (T._M_TRIM_THRESHOLD, 256 << 20)]
+
+
+def test_erf_is_scipy_special_erf_bitwise():
+    from scipy import special
+
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 8.0, -8.0]
+    ends = np.array([1.0, -1.0, 8.0, -8.0])
+    x = np.concatenate([np.linspace(-30.0, 30.0, 2_000_001), edges,
+                        np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
+    got, want = T._erf(x), special.erf(x)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_erf_falls_back_to_scipy_special_where_its_module_is_missing(monkeypatch):
+    from scipy import special
+
+    monkeypatch.setattr(T.importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix.so"])
+    assert T._load_erf() is special.erf
+
+
+def test_importing_the_program_leaves_scipy_special_unloaded():
+    ufuncs = pytest.importorskip("scipy.special._special_ufuncs",
+                                 reason="this scipy has no scipy.special._special_ufuncs to load erf from")
+    if not hasattr(ufuncs, "erf"):
+        pytest.skip("this scipy defines erf outside scipy.special._special_ufuncs")
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    code = "import sys, outpaint.cli, outpaint.trainer, outpaint.evaluation; print('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
