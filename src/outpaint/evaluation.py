@@ -250,12 +250,13 @@ def evaluate(
     for i, (sample, cond) in enumerate(zip(samples[:n], prompts)):
         pe = tokenize_and_embed(cond, vocab, params.text_table, cfg.l_center, cfg.l_surround)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        gen = ddim_sample(params, schedule, sample.image, sample.pixel_mask, pe, infer_steps, rng)
-        keep = sample.pixel_mask == 0.0
-        center_errors.append(float(((gen - sample.image)[:, keep] ** 2).mean()) if keep.any() else 0.0)
+        image, mask = sample.image, sample.pixel_mask
+        gen = ddim_sample(params, schedule, image, mask, pe, infer_steps, rng)
+        keep = mask == 0.0
+        center_errors.append(float(((gen - image)[:, keep] ** 2).mean()) if keep.any() else 0.0)
         if copy:
-            gen = copy_center(gen, sample.image, sample.pixel_mask)
-        detected.append(detect_keywords(gen, sample.pixel_mask))
+            gen = copy_center(gen, image, mask)
+        detected.append(detect_keywords(gen, mask))
         if out_dir is not None:
             ppm.write_ppm(os.path.join(out_dir, f"gen_{i:05d}.ppm"), gen)
 

@@ -18,7 +18,7 @@ import os
 import shutil
 import stat
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,18 +78,31 @@ def vocabulary() -> Vocab:
 
 @dataclass
 class SynthSample:
-    image: np.ndarray  # (3, H, W) in [-1, 1]
-    pixel_mask: np.ndarray  # (H, W), 1 = surrounding
+    """A caption and what its pixels are made from; ``image`` ((3, H, W) in
+    [-1, 1]) and ``pixel_mask`` ((H, W), 1 = surrounding) are fresh arrays on
+    each access. A built sample keeps the caption its image renders from (the
+    training ``caption`` may be blanked) and its mask's geometry or bool
+    raster; a loaded one keeps its files' uint8 rasters."""
+
+    make_image: Callable[[], np.ndarray]
+    make_mask: Callable[[], np.ndarray]
     caption: CsPrompt
+
+    @property
+    def image(self) -> np.ndarray:
+        return self.make_image()
+
+    @property
+    def pixel_mask(self) -> np.ndarray:
+        return self.make_mask()
 
 
 # -- geometry pieces -------------------------------------------------------
 # Every piece that depends on sizes alone (index grids, the center mask,
 # shape templates, texture patterns) is built once per geometry and cached
-# read-only. `generate` assembles a sample from them into fresh arrays of its
-# own; a dataset shares one read-only image per caption and the center mask.
-# The caches hold no colored image, so they stay O(image_size^2): about 44 MB
-# when full at the 1,024 px ceiling.
+# read-only. A sample's pixels are assembled from them into fresh arrays on
+# each access. The caches hold no colored image, so they stay
+# O(image_size^2): about 44 MB when full at the 1,024 px ceiling.
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -229,9 +242,10 @@ def render_image(caption: CsPrompt, spec: SynthSpec = DEFAULT_SPEC) -> np.ndarra
 
 
 def generate(seed: int, spec: SynthSpec = DEFAULT_SPEC) -> SynthSample:
-    """Render one sample into arrays of its own; captions are correct by construction."""
+    """One center-mask sample; captions are correct by construction."""
     caption = draw_caption(seed)
-    return SynthSample(render_image(caption, spec), make_center_mask(spec.image_size, spec.center_size), caption)
+    return SynthSample(functools.partial(render_image, caption, spec),
+                       functools.partial(make_center_mask, spec.image_size, spec.center_size), caption)
 
 
 def split_conditional(samples: Sequence[SynthSample], uncond_fraction: float, seed: int) -> list[SynthSample]:
@@ -260,22 +274,19 @@ def build_dataset(
 ) -> tuple[list[SynthSample], list[int]]:
     """Generate n samples with per-sample seeds derived from the base seed.
 
-    Samples share one read-only image per caption and, unless irregular, the
-    read-only center mask, so copy before writing. Irregular masks keep at
-    least the center square's share of the image.
+    Each sample is ``generate``'s for its seed, except that an irregular mask
+    (kept as a bool raster) keeps at least the center square's share of the
+    image.
     """
     seeds = [
         int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
         for i in range(n)
     ]
-    captions = [draw_caption(s) for s in seeds]
-    images = {c: _read_only(render_image(c, spec)) for c in dict.fromkeys(captions)}
+    samples = [generate(s, spec) for s in seeds]
     if irregular:
         keep = (spec.center_size / spec.image_size) ** 2
-        masks = [_read_only(make_irregular_mask(s, spec.image_size, keep)) for s in seeds]
-    else:
-        masks = [_center(spec.image_size, spec.center_size)[0]] * n
-    samples = [SynthSample(images[c], m, c) for c, m in zip(captions, masks)]
+        for sample, s in zip(samples, seeds):
+            sample.make_mask = functools.partial((make_irregular_mask(s, spec.image_size, keep) == 1.0).astype, float)
     if uncond_fraction:
         samples = split_conditional(samples, uncond_fraction, seed)
     return samples, seeds
@@ -327,19 +338,17 @@ def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) 
 
 
 def load_dataset(in_dir) -> tuple[list[SynthSample], list[int]]:
-    """A saved dataset, whose files with equal pixel bytes share one read-only
-    array as in ``build_dataset``; an error names its manifest line."""
+    """A saved dataset, whose samples keep their files' pixel bytes, each
+    distinct mask raster once; an error names its manifest line."""
     manifest = os.path.join(in_dir, "manifest.tsv")
-    shared = {}  # (raster shape, raster bytes) -> the one read-only array decoded from them
+    masks = {}  # (raster shape, raster bytes) -> the one mask maker of every file with those bytes
 
     def read(rel, magic):
         if os.path.isabs(rel) or os.pardir in rel.split(os.sep):
             raise ValueError(f"manifest path {rel!r} leaves the dataset directory")
         raw = ppm.read_raster(os.path.join(in_dir, rel), magic)
-        key = raw.shape, raw.tobytes()
-        if key not in shared:
-            shared[key] = _read_only(ppm.from_raster(raw))
-        return shared[key]
+        make = functools.partial(ppm.from_raster, raw)
+        return make if magic == b"P6" else masks.setdefault((raw.shape, raw.tobytes()), make)
 
     samples = []
     seeds = []

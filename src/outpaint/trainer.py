@@ -218,17 +218,18 @@ def train_step(
     if not batch:
         raise ValueError("empty batch")
     cfg = params.cfg
-    for sample in batch:
-        if sample.image.shape != cfg.image_shape:
-            raise GeometryMismatch(f"sample {sample.image.shape} vs model {cfg.image_shape}")
+    images = [sample.image for sample in batch]
+    for image in images:
+        if image.shape != cfg.image_shape:
+            raise GeometryMismatch(f"sample {image.shape} vs model {cfg.image_shape}")
     weight, loss_sum = 1.0 / len(batch), 0.0
     opt.zero_grad()
-    for sample in batch:
+    for sample, image in zip(batch, images):
         t = int(rng.integers(1, schedule.t_steps + 1))
         eps = rng.standard_normal(cfg.image_shape)
-        x_t = D.forward_sample(sample.image, t, eps, schedule)
+        x_t = D.forward_sample(image, t, eps, schedule)
         pe = tokenize_and_embed(sample.caption, vocab, params.text_table, cfg.l_center, cfg.l_surround)
-        loss = D.training_loss(eps, DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe))
+        loss = D.training_loss(eps, DN.forward(params, x_t, image, sample.pixel_mask, t, pe))
         backward(T.scale(loss, weight))
         loss_sum += loss.item()
         del pe, loss  # the next forward must not start while this sample's tape is alive
