@@ -97,46 +97,21 @@ class SynthSample:
         return self.make_mask()
 
 
-# -- geometry pieces -------------------------------------------------------
-# Every piece that depends on sizes alone (index grids, the center mask,
-# shape templates, texture patterns) is built once per geometry and cached
-# read-only. A sample's pixels are assembled from them into fresh arrays on
-# each access. The caches hold no colored image, so they stay
-# O(image_size^2): about 44 MB when full at the 1,024 px ceiling.
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-_RGB = {name: _read_only(np.array(rgb).reshape(3, 1, 1)) for name, rgb in COLOR_RGB.items()}
-
-
-@functools.lru_cache(maxsize=8)
-def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Open row (size, 1) and column (1, size) index grids (read-only, cached)."""
-    yy, xx = np.ogrid[0:size, 0:size]
-    return _read_only(yy), _read_only(xx)
-
-
-@functools.lru_cache(maxsize=2)
-def _center(image_size: int, center_size: int) -> tuple[np.ndarray, tuple[slice, slice]]:
-    """The center mask (read-only, cached) and the slices of its kept block."""
+def _center_block(image_size: int, center_size: int) -> tuple[slice, slice]:
+    """The row and column slices of the centered block that a center mask keeps."""
     if image_size % 2 or center_size % 2:
         raise BadGeometry(f"sizes must be even, got {image_size}/{center_size}")
     if not 0 < center_size <= image_size:
         raise BadGeometry(f"need 0 < center_size <= image_size, got {center_size}/{image_size}")
     lo = (image_size - center_size) // 2
-    block = (slice(lo, lo + center_size),) * 2
-    mask = np.ones((image_size, image_size))
-    mask[block] = 0.0
-    return _read_only(mask), block
+    return (slice(lo, lo + center_size),) * 2
 
 
 def make_center_mask(image_size: int, center_size: int) -> np.ndarray:
     """Zeros on the centered block, ones (to generate) elsewhere."""
-    return _center(image_size, center_size)[0].copy()
+    mask = np.ones((image_size, image_size))
+    mask[_center_block(image_size, center_size)] = 0.0
+    return mask
 
 
 def make_irregular_mask(seed: int, image_size: int, min_keep_fraction: float) -> np.ndarray:
@@ -158,7 +133,7 @@ def make_irregular_mask(seed: int, image_size: int, min_keep_fraction: float) ->
         cy = c + rng.uniform(-ry / 4.0, ry / 4.0)
         cx = c + rng.uniform(-rx / 4.0, rx / 4.0)
         ellipses.append((cy, cx, ry, rx))
-    yy, xx = _grid(image_size)
+    yy, xx = np.arange(image_size)[:, None], np.arange(image_size)
     scale = 1.0
     while True:
         kept = np.zeros((image_size, image_size), dtype=bool)
@@ -169,53 +144,40 @@ def make_irregular_mask(seed: int, image_size: int, min_keep_fraction: float) ->
         scale *= 1.25
 
 
-@functools.lru_cache(maxsize=24)
 def shape_template(shape: str, size_word: str, center_size: int) -> np.ndarray:
-    """Boolean foreground raster of a shape inside a center tile (read-only, cached)."""
+    """Boolean foreground raster of a shape inside a center tile."""
     cs = center_size
     side = cs - 2 if size_word == "large" else cs // 2
     c0 = (cs - 1) / 2.0
-    yy, xx = _grid(cs)
+    yy, xx = np.arange(cs)[:, None], np.arange(cs)
     if shape == "square":
         half = side / 2.0
-        fg = (np.abs(yy - c0) <= half) & (np.abs(xx - c0) <= half)
-    elif shape == "circle":
+        return (np.abs(yy - c0) <= half) & (np.abs(xx - c0) <= half)
+    if shape == "circle":
         r = side / 2.0
-        fg = (yy - c0) ** 2 + (xx - c0) ** 2 <= r * r
-    elif shape == "triangle":
+        return (yy - c0) ** 2 + (xx - c0) ** 2 <= r * r
+    if shape == "triangle":
         rel = yy - (cs - side) // 2
-        fg = (rel >= 0) & (rel < side) & (np.abs(xx - c0) <= (rel + 1) / 2.0)
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
-    return _read_only(fg)
-
-
-@functools.lru_cache(maxsize=8)
-def _pattern(texture: str, qualifier: str, image_size: int) -> np.ndarray:
-    """Boolean lit cells of a stripes (H, 1) or checker (H, W) texture (read-only, cached)."""
-    yy, xx = _grid(image_size)
-    cell = DENSITY_CELL[qualifier]
-    if texture == "stripes":
-        lit = (yy // cell) % 2 == 0
-    elif texture == "checker":
-        lit = ((yy // cell) + (xx // cell)) % 2 == 0
-    else:
-        raise ValueError(f"unknown texture {texture!r}")
-    return _read_only(lit)
+        return (rel >= 0) & (rel < side) & (np.abs(xx - c0) <= (rel + 1) / 2.0)
+    raise ValueError(f"unknown shape {shape!r}")
 
 
 def render_center_tile(shape: str, color: str, size_word: str, center_size: int) -> np.ndarray:
     """(3, cs, cs) tile in [0, 1]: gray background, full-intensity shape."""
-    return np.where(shape_template(shape, size_word, center_size), _RGB[color], BACKGROUND)
+    return np.where(shape_template(shape, size_word, center_size), np.reshape(COLOR_RGB[color], (3, 1, 1)), BACKGROUND)
 
 
 def render_surrounding_field(texture: str, color: str, qualifier: str, image_size: int) -> np.ndarray:
     """(3, H, W) texture field in [0, 1] covering the whole image."""
-    field = np.empty((3, image_size, image_size))
     if texture == "solid":
-        field[...] = _RGB[color] * (1.0 if qualifier == "bright" else DARK_SHADE)
+        lit = 1.0 if qualifier == "bright" else DARK_SHADE
+    elif texture in ("stripes", "checker"):
+        cells = np.arange(image_size) // DENSITY_CELL[qualifier]
+        lit = (cells[:, None] if texture == "stripes" else cells[:, None] + cells) % 2 == 0
     else:
-        np.multiply(_RGB[color], _pattern(texture, qualifier, image_size), out=field)
+        raise ValueError(f"unknown texture {texture!r}")
+    field = np.empty((3, image_size, image_size))
+    np.multiply(np.reshape(COLOR_RGB[color], (3, 1, 1)), lit, out=field)
     return field
 
 
@@ -236,8 +198,8 @@ def render_image(caption: CsPrompt, spec: SynthSpec = DEFAULT_SPEC) -> np.ndarra
     """(3, H, W) image in [-1, 1] that a full six-keyword caption describes."""
     (shape, center_color, size_word), (texture, surround_color, qualifier) = caption.center, caption.surrounding
     img = render_surrounding_field(texture, surround_color, qualifier, spec.image_size)
-    block = _center(spec.image_size, spec.center_size)[1]
-    img[(slice(None),) + block] = render_center_tile(shape, center_color, size_word, spec.center_size)
+    rows, cols = _center_block(spec.image_size, spec.center_size)
+    img[:, rows, cols] = render_center_tile(shape, center_color, size_word, spec.center_size)
     return img * 2.0 - 1.0
 
 

@@ -71,8 +71,15 @@ def test_collect_alternates_the_first_side_and_lists_runs_not_correct():
     assert report["env"] == {"tree": {"seed": 0}, "against": {"seed": 0}}
 
 
-@pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seconds", "0"], ["--seeds", "x"]])
-def test_bad_arguments_exit_2_before_any_run(argv):
+@pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seconds", "0"], ["--seeds", "x"],
+                                  ["--against", "no-such-rev"]])
+def test_bad_arguments_exit_2_before_any_run(argv, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a harness run started")
+
+    monkeypatch.setattr(bench, "run_harness", no_run)
     with pytest.raises(SystemExit) as exc:
         bench.main(argv)
     assert exc.value.code == 2
+    if argv[0] == "--against":
+        assert "--against no-such-rev: rev-parse failed" in capsys.readouterr().err

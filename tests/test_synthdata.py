@@ -19,8 +19,8 @@ from outpaint.prompt import CsPrompt, render
 
 
 def test_generate_is_deterministic():
-    # seeds 0-9 cover every texture; each sample owns its arrays, so writing
-    # into one (or into a center mask) cannot reach a cached piece
+    # seeds 0-9 cover every texture; each read makes new arrays, so writing
+    # into one (or into a center mask) cannot change a later sample
     for seed in range(10):
         a = SD.generate(seed)
         want_image, want_mask = a.image.copy(), a.pixel_mask.copy()
@@ -196,7 +196,7 @@ def _dataset_sha256(samples, seeds):
 
 
 # sha256 over the images, masks, captions and seeds of build_dataset(200, 1, ...),
-# computed before the geometry pieces were cached; any change means the data moved
+# unchanged since they were first pinned; any change means the data moved
 @pytest.mark.parametrize("image_size,center_size,options,want", [
     (16, 8, {}, "6ea0ded8da8115967e7af1a29a8f57258f3e7f744a0d3f2528552aff2c90a1a6"),
     (32, 16, {}, "abb81872993e959f914acdad774b07b2b461d0c1ef953ed50b7bbcfc3a5e1741"),
@@ -208,28 +208,30 @@ def test_build_dataset_bytes_are_pinned(image_size, center_size, options, want):
     assert _dataset_sha256(*SD.build_dataset(200, 1, spec, **options)) == want
 
 
-def test_geometry_caches_stay_under_64_mb_at_the_ceiling():
-    cached = (SD._grid, SD._center, SD._pattern, SD.shape_template)
-    for fn in cached:
-        fn.cache_clear()
+def _read_every_piece(size):
+    sample = SD.generate(0, SD.SynthSpec(image_size=size, center_size=size - 2))
+    sample.image, sample.pixel_mask
+    SD.make_irregular_mask(0, size, 0.25)
+    for shape, size_word in itertools.product(SD.SHAPES, SD.SIZES):
+        SD.shape_template(shape, size_word, size - 2)
+    for texture in SD.TEXTURES:
+        for qualifier in SD.SHADES if texture == "solid" else SD.DENSITIES:
+            SD.render_surrounding_field(texture, "red", qualifier, size)
+
+
+def test_reads_at_the_largest_geometries_leave_under_1_mb_held():
+    # every piece of a sample's pixels is made on the read, so once the results
+    # are dropped nothing is left behind, even at the image_size ceiling
+    _read_every_piece(16)  # any lazy import happens before the trace
+    ceiling = SD.DenoiserConfig.range_of("image_size")[1]
     tracemalloc.start()
     try:
-        ceiling = SD.DenoiserConfig.range_of("image_size")[1]
-        sizes = range(ceiling, ceiling - 32, -2)  # more geometries than any cache holds
-        for size in sizes:
-            SD.generate(0, SD.SynthSpec(image_size=size, center_size=size - 2))
-            SD.make_irregular_mask(0, size, 0.25)
-            for shape, size_word in itertools.product(SD.SHAPES, SD.SIZES):
-                SD.shape_template(shape, size_word, size - 2)
-            for texture, qualifier in itertools.product(("stripes", "checker"), SD.DENSITIES):
-                SD.render_surrounding_field(texture, "red", qualifier, size)
+        for size in range(ceiling, ceiling - 32, -2):
+            _read_every_piece(size)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-        for fn in cached:
-            fn.cache_clear()
-    assert all(fn.cache_info().maxsize <= 24 for fn in cached)
-    assert held < 64e6, f"geometry caches hold {held / 1e6:.1f} MB"
+    assert held < 1e6, f"reads left {held / 1e6:.1f} MB held"
 
 
 # -- dataset memory --------------------------------------------------------------

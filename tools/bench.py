@@ -86,8 +86,9 @@ def count_wins(tree: dict[int, dict], against: dict[int, dict], better: dict[str
 
 
 def collect(sides: dict[str, Path], workloads: list[str], seeds: list[int], seconds: float,
-            better: dict[str, str], run=run_harness) -> dict:
-    """Run every side on every workload and seed, the first side alternating by seed."""
+            better: dict[str, str], run) -> dict:
+    """Run every side on every workload and seed with ``run`` (``run_harness``'s
+    signature), the first side alternating by seed."""
     runs = {side: {w: {} for w in workloads} for side in sides}
     for w in workloads:
         for i, seed in enumerate(seeds):
@@ -152,7 +153,7 @@ def main(argv=None) -> int:
                 commit = unpack(args.against, tmp)
             except subprocess.CalledProcessError as exc:
                 ap.error(f"--against {args.against}: {exc.cmd[3]} failed: {exc.stderr!r}")
-        report = collect(sides, names, list(range(1, args.seeds + 1)), args.seconds, better)
+        report = collect(sides, names, list(range(1, args.seeds + 1)), args.seconds, better, run_harness)
     if args.against:
         report["against"] = {"rev": args.against, "commit": commit}
     out.write_text(json.dumps(report, indent=1) + "\n")
