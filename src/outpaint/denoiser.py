@@ -14,15 +14,14 @@ with the fusion scalar at 0 a site computes exactly plain cross-attention,
 whatever its region-branch weights hold.
 
 ``forward`` is three parts, so that a sampler pays for the constant ones
-once per image: ``condition`` (validation, masking, known patches,
-per-block prompt keys/values and routing), ``time_embedding`` (the
-timestep MLP over many timesteps at once) and ``denoise`` (the transformer
-over one noisy image).
+once per image: ``condition`` (validation, masking, known patches, the
+position grid, per-block prompt keys/values and routing),
+``time_embedding`` (the timestep MLP over many timesteps at once) and
+``denoise`` (the transformer over one noisy image).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -225,15 +224,12 @@ def sinusoidal_embedding(positions, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-@functools.lru_cache(maxsize=8)
 def position_grid(cfg: DenoiserConfig) -> np.ndarray:
-    """Fixed 2-d sinusoidal positions, one row per patch token (read-only, cached)."""
+    """Fixed 2-d sinusoidal positions, one row per patch token."""
     one_d = sinusoidal_embedding(np.arange(cfg.grid), cfg.d_model // 2)  # (grid, d/2)
     rows = np.repeat(one_d, cfg.grid, axis=0)
     cols = np.tile(one_d, (cfg.grid, 1))
-    grid = np.concatenate([rows, cols], axis=1)  # (n_tokens, d)
-    grid.flags.writeable = False
-    return grid
+    return np.concatenate([rows, cols], axis=1)  # (n_tokens, d)
 
 
 def patchify(img: np.ndarray, patch_size: int) -> np.ndarray:
@@ -257,9 +253,10 @@ def _unpatchify(tokens: Tensor, cfg: DenoiserConfig) -> Tensor:
 
 @dataclass
 class Conditioning:
-    """What stays fixed while one image is denoised."""
+    """What stays fixed while one image is denoised: known patches, position grid, routed prompt."""
 
     known: np.ndarray  # (n_tokens, patch^2 * (channels + 1)): masked image and mask patches
+    positions: Tensor  # (n_tokens, d_model): the position grid
     text: list[RoutedText]  # one per block
 
 
@@ -269,8 +266,8 @@ def condition(
     pixel_mask: np.ndarray,
     pe: PromptEmbedding,
 ) -> Conditioning:
-    """Validate the input, keep only the known part of ``image`` (mask 0) and
-    route the prompt at every block."""
+    """Validate the input, keep only the known part of ``image`` (mask 0),
+    build the position grid and route the prompt at every block."""
     cfg = params.cfg
     image = np.asarray(image, dtype=np.float64)
     pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
@@ -282,7 +279,8 @@ def condition(
         raise A.MaskNotBinary("pixel mask entries must be exactly 0 or 1")
     token_mask = resize_mask(pixel_mask, (cfg.grid, cfg.grid))
     known = patchify(np.concatenate([image * (1.0 - pixel_mask), pixel_mask[None]], axis=0), cfg.patch_size)
-    return Conditioning(known, [A.route_text(pe, token_mask, blk.cross) for blk in params.blocks])
+    text = [A.route_text(pe, token_mask, blk.cross) for blk in params.blocks]
+    return Conditioning(known, Tensor(position_grid(cfg)), text)
 
 
 def time_embedding(params: DenoiserParams, ts) -> Tensor:
@@ -306,7 +304,7 @@ def denoise(params: DenoiserParams, x_t: np.ndarray, temb: Tensor, cond: Conditi
 
     patches = np.concatenate([patchify(x_t, cfg.patch_size), cond.known], axis=1)
     x = T.matmul(Tensor(patches), params.patch_w, params.patch_b)
-    x = T.add(x, Tensor(position_grid(cfg)))
+    x = T.add(x, cond.positions)
     x = T.add(x, temb)
 
     for blk, text in zip(params.blocks, cond.text):

@@ -105,26 +105,32 @@ def config_from_mapping(mapping: dict[str, str]) -> TrainConfig:
     return TrainConfig(**parsed)
 
 
-def read_config_file(path) -> dict[str, str]:
-    """Plain-text `key = value` lines; `#` starts a comment; a key set twice is an error."""
+def parse_config_lines(lines, where) -> dict[str, str]:
+    """`key = value` lines; `#` starts a comment; a key set twice is an error.
+    Errors name ``where`` and the line number."""
     mapping, first_line = {}, {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     for lineno, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
+            raise ConfigError(f"{where}:{lineno}: expected 'key = value', got {body!r}")
         key, value = (part.strip() for part in body.split("=", 1))
         if key in first_line:
-            raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {first_line[key]}")
+            raise ConfigError(f"{where}:{lineno}: {key!r} already set on line {first_line[key]}")
         first_line[key] = lineno
         mapping[key] = value
     return mapping
+
+
+def read_config_file(path) -> dict[str, str]:
+    """A UTF-8 text file of ``parse_config_lines`` lines."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_config_lines(lines, path)
 
 
 # -- optimizer -------------------------------------------------------------
@@ -293,9 +299,9 @@ def _config_header(cfg: TrainConfig) -> bytes:
 
 def _parse_header(blob: bytes) -> TrainConfig:
     try:
-        mapping = dict(line.split("=", 1) for line in blob.decode("utf-8").splitlines())
+        mapping = parse_config_lines(blob.decode("utf-8").splitlines(), "header")
         return config_from_mapping({k: v.strip("'\"") for k, v in mapping.items()})
-    except ValueError as exc:  # not UTF-8, a line without '=', or a bad config
+    except ValueError as exc:  # not UTF-8, a bad or repeated line, or a bad config
         raise CorruptCheckpoint(f"bad config header: {exc}") from None
 
 

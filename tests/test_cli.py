@@ -368,6 +368,8 @@ HOSTILE_CHECKPOINTS = {
     # a header reporting another constant than the frozen fusion the records hold
     "mismatched_constant_fusion": _ckpt(_CONSTANT_HEADER.replace(b"constant:0.5", b"constant:0.25"),
                                         _CONSTANT_RECORDS),
+    # a key set twice, which a config file may not do either
+    "duplicate_header_key": _ckpt(_TOY_HEADER + b"learning_rate=0.5\n", _TOY_RECORDS),
 }
 # Address-space cap for the child: far above a healthy run, far below any
 # allocation from header sizes, so a regression fails fast instead of paging.

@@ -126,10 +126,10 @@ def count_calls(monkeypatch, calls, module, name):
 def test_prompt_is_routed_once_per_image(monkeypatch, n_steps):
     cfg, params, masked, mask, pe = routed_setup(n_blocks=3, t_steps=100)
     calls = {}
-    for module, name in ((A, "route_text"), (DN, "time_embedding"), (DN, "denoise")):
+    for module, name in ((A, "route_text"), (DN, "time_embedding"), (DN, "position_grid"), (DN, "denoise")):
         count_calls(monkeypatch, calls, module, name)
     ddim_sample(params, cfg.schedule(), masked, mask, pe, n_steps, np.random.default_rng(0))
-    assert calls == {"route_text": 3, "time_embedding": 1, "denoise": n_steps}
+    assert calls == {"route_text": 3, "time_embedding": 1, "position_grid": 1, "denoise": n_steps}
 
 
 def test_inputs_are_validated_before_the_first_step(monkeypatch):
