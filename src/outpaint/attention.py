@@ -122,10 +122,8 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None) -> Tens
     return T.matmul(T.softmax_rows(logits), v)
 
 
-def cross_attention(image_tokens, text_tokens, w: CrossAttnWeights) -> Tensor:
+def cross_attention(image_tokens: Tensor, text_tokens: Tensor, w: CrossAttnWeights) -> Tensor:
     """Baseline single-head cross-attention of image tokens over text tokens."""
-    image_tokens = T.as_tensor(image_tokens)
-    text_tokens = T.as_tensor(text_tokens)
     q = T.matmul(image_tokens, w.w_q)
     return _attend(q, T.matmul(text_tokens, w.w_k), T.matmul(text_tokens, w.w_v))
 
@@ -141,13 +139,12 @@ def route_text(pe: PromptEmbedding, mask: RegionMask, w: CtsAttnWeights) -> Rout
     return RoutedText(k, v, k_regional, v_regional, Tensor(np.where(allowed, 0.0, -np.inf)))
 
 
-def routed_attention(image_tokens, text: RoutedText, w: CtsAttnWeights) -> Tensor:
+def routed_attention(image_tokens: Tensor, text: RoutedText, w: CtsAttnWeights) -> Tensor:
     """Attend image tokens over routed prompt keys (see module docstring).
 
     The query projection is computed once from the image stream and shared
     by the baseline and the regional attention.
     """
-    image_tokens = T.as_tensor(image_tokens)
     if text.bias.shape[0] != image_tokens.shape[0]:
         raise ShapeMismatch(
             f"mask length {text.bias.shape[0]} != image token count {image_tokens.shape[0]}"
@@ -159,7 +156,7 @@ def routed_attention(image_tokens, text: RoutedText, w: CtsAttnWeights) -> Tenso
 
 
 def cts_cross_attention(
-    image_tokens, pe: PromptEmbedding, mask: RegionMask, w: CtsAttnWeights
+    image_tokens: Tensor, pe: PromptEmbedding, mask: RegionMask, w: CtsAttnWeights
 ) -> Tensor:
     """Region-routed cross-attention (see module docstring)."""
     return routed_attention(image_tokens, route_text(pe, mask, w), w)
@@ -201,18 +198,17 @@ def init_cts_from_base(
     )
 
 
-def resize_mask(pixel_mask, token_grid: tuple[int, int]) -> RegionMask:
+def resize_mask(pixel_mask: np.ndarray, token_grid: tuple[int, int]) -> RegionMask:
     """Block-average a pixel mask onto the token grid and threshold at 0.5.
 
     Exact halves round up to 1 (surrounding). Token order is row-major,
     matching the patch order of the denoiser.
     """
-    pm = np.asarray(pixel_mask, dtype=np.float64)
-    if pm.ndim != 2:
-        raise ShapeMismatch(f"pixel mask must be 2-d, got {pm.shape}")
+    if pixel_mask.ndim != 2:
+        raise ShapeMismatch(f"pixel mask must be 2-d, got {pixel_mask.shape}")
     h, w = token_grid
-    height, width = pm.shape
+    height, width = pixel_mask.shape
     if h <= 0 or w <= 0 or height % h or width % w:
-        raise IndivisibleGrid(f"pixel mask {pm.shape} not divisible by token grid {token_grid}")
-    cells = pm.reshape(h, height // h, w, width // w).mean(axis=(1, 3))
+        raise IndivisibleGrid(f"pixel mask {pixel_mask.shape} not divisible by token grid {token_grid}")
+    cells = pixel_mask.reshape(h, height // h, w, width // w).mean(axis=(1, 3))
     return RegionMask((cells >= 0.5).astype(np.float64).reshape(-1))

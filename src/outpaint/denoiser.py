@@ -269,8 +269,6 @@ def condition(
     """Validate the input, keep only the known part of ``image`` (mask 0),
     build the position grid and route the prompt at every block."""
     cfg = params.cfg
-    image = np.asarray(image, dtype=np.float64)
-    pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
     if image.shape != cfg.image_shape:
         raise ShapeMismatch(f"expected image shape {cfg.image_shape}, got {image.shape}")
     if pixel_mask.shape != cfg.image_shape[1:]:
@@ -298,7 +296,6 @@ def time_embedding(params: DenoiserParams, ts) -> Tensor:
 def denoise(params: DenoiserParams, x_t: np.ndarray, temb: Tensor, cond: Conditioning) -> Tensor:
     """Predict the noise in ``x_t`` given one timestep-embedding row and ``cond``."""
     cfg = params.cfg
-    x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.shape != cfg.image_shape:
         raise ShapeMismatch(f"expected image shape {cfg.image_shape}, got {x_t.shape}")
 

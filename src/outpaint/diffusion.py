@@ -6,8 +6,9 @@ Forward process (closed form of the stepwise Gaussian):
 
 The stochastic reverse step uses the standard posterior-mean coefficient
 1/sqrt(alpha_t); the deterministic sampler predicts x_0 and re-noises to
-the target step. Schedules are plain numpy; only the training loss is a
-differentiable tensor op (gradient flows through the noise prediction).
+the target step. Schedules are plain numpy and samples are float64 arrays,
+used as given; only the training loss is a differentiable tensor op
+(gradient flows through the noise prediction).
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSc
 def forward_sample(x0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:
     """Jump the clean sample straight to noise level t."""
     s._check(t)
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ShapeMismatch(f"x0 {x0.shape} vs eps {eps.shape}")
     ab = s.alpha_bar(t)
@@ -88,15 +87,12 @@ def ddpm_step(
 ) -> np.ndarray:
     """One stochastic reverse step; pass z=None (zero) at t=1."""
     s._check(t)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_pred = np.asarray(eps_pred, dtype=np.float64)
     if x_t.shape != eps_pred.shape:
         raise ShapeMismatch(f"x_t {x_t.shape} vs eps_pred {eps_pred.shape}")
     beta = s.beta(t)
     mean = (x_t - beta / np.sqrt(1.0 - s.alpha_bar(t)) * eps_pred) / np.sqrt(1.0 - beta)
     if z is None:
         return mean
-    z = np.asarray(z, dtype=np.float64)
     if z.shape != x_t.shape:
         raise ShapeMismatch(f"x_t {x_t.shape} vs z {z.shape}")
     return mean + np.sqrt(beta) * z
@@ -109,8 +105,6 @@ def ddim_step(
     s._check(t)
     if not 0 <= t_prev < t:
         raise BadTimestep(f"need 0 <= t_prev < t, got t_prev={t_prev}, t={t}")
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_pred = np.asarray(eps_pred, dtype=np.float64)
     if x_t.shape != eps_pred.shape:
         raise ShapeMismatch(f"x_t {x_t.shape} vs eps_pred {eps_pred.shape}")
     ab_t = s.alpha_bar(t)
@@ -127,9 +121,9 @@ def ddim_timesteps(t_steps: int, n_infer: int) -> np.ndarray:
     return ts[::-1]
 
 
-def training_loss(eps, eps_pred: Tensor) -> Tensor:
+def training_loss(eps: np.ndarray, eps_pred: Tensor) -> Tensor:
     """Mean squared error between added and predicted noise (differentiable)."""
-    eps_t = T.as_tensor(eps)
+    eps_t = Tensor(eps)
     if eps_t.shape != eps_pred.shape:
         raise ShapeMismatch(f"eps {eps_t.shape} vs eps_pred {eps_pred.shape}")
     diff = T.sub(eps_pred, eps_t)

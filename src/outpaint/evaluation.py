@@ -8,7 +8,7 @@ distribution-level image metrics, which are meaningless at this scale.
 
 The detector is total and deterministic on arbitrary [-1, 1] images: every
 decision falls back to a documented tie order, so garbage input still maps
-to some vocabulary words.
+to some vocabulary words. Images and masks are float64 arrays, used as given.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class EvalReport:
 
 def copy_center(generated: np.ndarray, original: np.ndarray, pixel_mask: np.ndarray) -> np.ndarray:
     """Paste the original content back into the non-masked (center) region."""
-    generated = np.asarray(generated, dtype=np.float64)
-    original = np.asarray(original, dtype=np.float64)
-    pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
     if generated.shape != original.shape or generated.shape[1:] != pixel_mask.shape:
         raise ShapeMismatch(
             f"copy_center shapes: {generated.shape}, {original.shape}, {pixel_mask.shape}"
@@ -155,8 +152,6 @@ def detect_keywords(image: np.ndarray, pixel_mask: np.ndarray) -> tuple[tuple[st
 
     Exact on clean generated samples; deterministic best-effort elsewhere.
     """
-    image = np.asarray(image, dtype=np.float64)
-    pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
     value = np.clip((image + 1.0) / 2.0, 0.0, 1.0)
     surround = pixel_mask == 1.0
     center = ~surround

@@ -1,9 +1,9 @@
 """Binary PPM/PGM image files.
 
-Images are float arrays in [-1, 1]; a pixel p maps to the byte
+Images are float64 arrays in [-1, 1]; a pixel p maps to the byte
 round((p + 1) * 127.5) clamped to [0, 255]. Color images are P6 (maxval
 255, shape (3, H, W)); masks are P5 grayscale where 255 means masked
-(generate) and 0 means kept.
+(generate) and 0 means kept. The writers take float64 arrays as given.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class BadImageFile(ValueError):
 
 
 def float_to_byte(img: np.ndarray) -> np.ndarray:
-    return np.clip(np.round((np.asarray(img, dtype=np.float64) + 1.0) * 127.5), 0, 255).astype(np.uint8)
+    return np.clip(np.round((img + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 
 def byte_to_float(raw: np.ndarray) -> np.ndarray:
@@ -35,7 +35,6 @@ def _write_raster(path, magic: bytes, raw: np.ndarray) -> None:
 
 def write_ppm(path, img: np.ndarray) -> None:
     """Write a (3, H, W) float image in [-1, 1] as binary P6."""
-    img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] != 3:
         raise BadImageFile(f"expected (3, H, W) image, got {img.shape}")
     _write_raster(path, b"P6", float_to_byte(img).transpose(1, 2, 0))
@@ -43,7 +42,6 @@ def write_ppm(path, img: np.ndarray) -> None:
 
 def write_pgm(path, mask: np.ndarray) -> None:
     """Write a (H, W) binary mask as P5; 255 = masked, 0 = kept."""
-    mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim != 2:
         raise BadImageFile(f"expected (H, W) mask, got {mask.shape}")
     _write_raster(path, b"P5", (mask * 255).astype(np.uint8))
@@ -53,17 +51,23 @@ def _read_header(fh, magic: bytes):
     got = fh.read(2)
     if got != magic:
         raise BadImageFile(f"bad magic {got!r}, expected {magic!r}")
-    fields = []
-    while len(fields) < 3:
-        line = fh.readline()
-        if not line:
+    fields, token = [], bytearray()
+    while len(fields) < 3:  # token by token: the raster starts after the one whitespace byte behind maxval
+        c = fh.read(1)
+        if not c:
             raise BadImageFile("truncated header")
-        body = line.split(b"#", 1)[0]
-        fields.extend(body.split())
+        if c == b"#":
+            fh.readline()  # a comment runs to the end of its line
+        elif not c.isspace():
+            token += c
+            continue
+        if token:
+            fields.append(bytes(token))
+            token.clear()
     try:
-        w, h, maxval = (int(v) for v in fields[:3])
+        w, h, maxval = (int(v) for v in fields)
     except ValueError:
-        raise BadImageFile(f"non-integer header field in {fields[:3]}") from None
+        raise BadImageFile(f"non-integer header field in {fields}") from None
     if w <= 0 or h <= 0:
         raise BadImageFile(f"image size {w}x{h} is not positive")
     if maxval != 255:

@@ -1,12 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a numpy array. When gradients are enabled, every
-operation records its input tensors and a vector-Jacobian closure on the
-output node. Node ids grow monotonically with creation order, so the
-recorded graph is an implicit tape whose order is already topological:
-``backward`` visits the nodes that receive a gradient exactly once each,
-newest first, accumulating gradients additively into leaf tensors that
-require them. Every gradient is an array of its tensor's shape.
+A ``Tensor`` wraps a numpy array, and ``Tensor(...)`` is the one place an
+array or number becomes one: primitives take ``Tensor`` operands and
+convert nothing. When gradients are enabled, every operation records its
+input tensors and a vector-Jacobian closure on the output node. Node ids
+grow monotonically with creation order, so the recorded graph is an
+implicit tape whose order is already topological: ``backward`` visits the
+nodes that receive a gradient exactly once each, newest first,
+accumulating gradients additively into leaf tensors that require them.
+Every gradient is an array of its tensor's shape.
 
 Everything is float64 so finite-difference checks can be tight. A dense
 layer (``matmul`` with ``bias``) and an affine layer norm (``layernorm_rows``
@@ -123,10 +125,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -160,8 +158,7 @@ def _broadcast(op, a: Tensor, b: Tensor) -> np.ndarray:
         raise ShapeMismatch(f"{op.__name__}: cannot broadcast {a.shape} with {b.shape}") from None
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast(np.add, a, b)
 
     def vjp(g):
@@ -170,8 +167,7 @@ def add(a, b) -> Tensor:
     return _record(data, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast(np.subtract, a, b)
 
     def vjp(g):
@@ -180,8 +176,7 @@ def sub(a, b) -> Tensor:
     return _record(data, (a, b), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast(np.multiply, a, b)
 
     def vjp(g):
@@ -190,9 +185,8 @@ def mul(a, b) -> Tensor:
     return _record(data, (a, b), vjp)
 
 
-def scale(a, s: float) -> Tensor:
+def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a plain python scalar (not a tensor)."""
-    a = as_tensor(a)
     s = float(s)
     return _record(a.data * s, (a,), lambda g: (g * s,))
 
@@ -200,16 +194,14 @@ def scale(a, s: float) -> Tensor:
 # -- linear algebra -----------------------------------------------------
 
 
-def _per_column(t, width: int, what: str) -> Tensor:
-    t = as_tensor(t)
+def _per_column(t: Tensor, width: int, what: str) -> Tensor:
     if t.shape != (width,):
         raise ShapeMismatch(f"{what} must have shape ({width},), got {t.shape}")
     return t
 
 
-def matmul(a, b, bias=None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a @ b``, plus ``bias`` (one entry per output column) if given."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeMismatch(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -227,15 +219,13 @@ def matmul(a, b, bias=None) -> Tensor:
     return _record(data, (a, b) if bias is None else (a, b, bias), vjp)
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
+def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeMismatch(f"transpose needs a 2-d tensor, got {a.shape}")
     return _record(a.data.T, (a,), lambda g: (g.T,))
 
 
-def permute(a, axes: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeMismatch(f"permute axes {axes} invalid for ndim {a.ndim}")
@@ -243,8 +233,7 @@ def permute(a, axes: Sequence[int]) -> Tensor:
     return _record(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
+def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(d) for d in shape)
     if math.prod(shape) != a.size:
         raise ShapeMismatch(f"reshape {a.shape} -> {shape} changes element count")
@@ -252,8 +241,8 @@ def reshape(a, shape) -> Tensor:
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    ts = list(tensors)
     if not ts:
         raise ShapeMismatch("concat of zero tensors")
     try:
@@ -270,8 +259,7 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return _record(data, tuple(ts), vjp)
 
 
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
+def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     if not (0 <= axis < a.ndim):
         raise ShapeMismatch(f"slice axis {axis} out of range for {a.shape}")
     if not (0 <= start <= stop <= a.shape[axis]):
@@ -287,9 +275,8 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     return _record(a.data[idx], (a,), vjp)
 
 
-def embedding(table, ids) -> Tensor:
+def embedding(table: Tensor, ids) -> Tensor:
     """Row gather: out[i] = table[ids[i]]."""
-    table = as_tensor(table)
     if table.ndim != 2:
         raise ShapeMismatch(f"embedding table must be 2-d, got {table.shape}")
     ids_arr = np.asarray(ids, dtype=np.int64)
@@ -307,9 +294,8 @@ def embedding(table, ids) -> Tensor:
 # -- nonlinearities and reductions ---------------------------------------
 
 
-def softmax_rows(x) -> Tensor:
+def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with max-subtraction; each output row sums to 1."""
-    x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeMismatch(f"softmax_rows needs a 2-d tensor, got {x.shape}")
     y = x.data - np.maximum.reduce(x.data, axis=1, keepdims=True)
@@ -328,10 +314,9 @@ def _row_mean(a: np.ndarray) -> np.ndarray:  # a.mean(axis=1, keepdims=True) is 
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def layernorm_rows(x, gain=None, bias=None) -> Tensor:
+def layernorm_rows(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """Normalize each row to zero mean, unit variance (epsilon 1e-5); given
     ``gain`` and ``bias`` (one entry per column each), return ``y * gain + bias``."""
-    x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeMismatch(f"layernorm_rows needs a 2-d tensor, got {x.shape}")
     y = x.data - _row_mean(x.data)
@@ -376,8 +361,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def gelu(x) -> Tensor:
-    x = as_tensor(x)
+def gelu(x: Tensor) -> Tensor:
     # phi = 0.5 * (1 + erf(x / sqrt 2)); out= keeps a 0-d phi an array, which the in-place steps need
     phi = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
     _erf(phi, out=phi)
@@ -396,14 +380,12 @@ def gelu(x) -> Tensor:
     return _record(data, (x,), vjp)
 
 
-def sum_all(x) -> Tensor:
-    x = as_tensor(x)
+def sum_all(x: Tensor) -> Tensor:
     src_shape = x.data.shape
     return _record(x.data.sum(), (x,), lambda g: (np.full(src_shape, g.reshape(()).item()),))
 
 
-def mean_all(x) -> Tensor:
-    x = as_tensor(x)
+def mean_all(x: Tensor) -> Tensor:
     src_shape = x.data.shape
     n = x.size
     return _record(x.data.mean(), (x,), lambda g: (np.full(src_shape, g.reshape(()).item() / n),))

@@ -124,9 +124,9 @@ def parse_config_lines(lines, where) -> dict[str, str]:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """A UTF-8 text file of ``parse_config_lines`` lines."""
+    """A UTF-8 text file of ``parse_config_lines`` lines; a leading byte-order mark is skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = list(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None

@@ -276,6 +276,20 @@ def test_train_rejects_unknown_config_key(tmp_path, toy_run):
     assert code == cli.EXIT_USAGE
 
 
+def test_config_file_with_a_utf8_byte_order_mark_trains_the_same_run(tmp_path, toy_run):
+    data, _ = toy_run
+    flags = TOY_FLAGS[2:]  # all but --iterations, which the file sets first, behind the byte-order mark
+    keys = [flag[2:].replace("-", "_") for flag in flags[::2]]
+    text = "iterations = 1\n" + "".join(f"{k} = {v}\n" for k, v in zip(keys, flags[1::2]))
+    trees = []
+    for name, raw in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(raw)
+        assert run(["train", "--data", data, "--out", str(tmp_path / name), "--config", str(cfg)]) == 0, name
+        trees.append(tree_bytes(tmp_path / name))
+    assert trees[0] == trees[1]
+
+
 def test_sample_deterministic_and_copy(tmp_path, toy_run):
     data, run_dir = toy_run
     ckpt = os.path.join(run_dir, "model.ckpt")
@@ -295,6 +309,40 @@ def test_sample_deterministic_and_copy(tmp_path, toy_run):
     source = ppm.read_ppm(src)
     mask = SD.make_center_mask(12, 8)
     np.testing.assert_array_equal(gen[:, mask == 0], source[:, mask == 0])
+
+
+def test_sample_with_a_dataset_mask_file(tmp_path, toy_run):
+    _, run_dir = toy_run
+    ckpt = os.path.join(run_dir, "model.ckpt")
+    data = tmp_path / "blobs"
+    assert run(["gen-data", "--out", str(data), "--n", "2", "--seed", "4",
+                "--image-size", "12", "--center-size", "8", "--irregular"]) == 0
+    mask_path, src = str(data / "masks" / "00001.pgm"), str(data / "images" / "00001.ppm")
+    mask = ppm.read_pgm(mask_path)
+    assert not np.array_equal(mask, SD.make_center_mask(12, 8))
+
+    blank = tmp_path / "blank.ppm"  # no --image: the known content is the zero image
+    assert run(["sample", "--ckpt", ckpt, "--mask", mask_path, "--steps", "3", "--seed", "3",
+                "--out", str(blank)]) == 0
+    assert ppm.read_ppm(blank).shape == (3, 12, 12)
+
+    copied = tmp_path / "copy.ppm"
+    assert run(["sample", "--ckpt", ckpt, "--image", src, "--mask", mask_path, "--steps", "3",
+                "--seed", "3", "--copy", "--out", str(copied)]) == 0
+    gen, source = ppm.read_ppm(copied), ppm.read_ppm(src)
+    np.testing.assert_array_equal(gen[:, mask == 0], source[:, mask == 0])
+
+
+def test_sample_with_a_mask_file_of_the_wrong_size_exits_3_and_writes_nothing(tmp_path, toy_run, capsys):
+    _, run_dir = toy_run
+    mask_path = tmp_path / "small.pgm"
+    ppm.write_pgm(mask_path, SD.make_center_mask(8, 4))
+    out = tmp_path / "x.ppm"
+    assert run(["sample", "--ckpt", os.path.join(run_dir, "model.ckpt"), "--mask", str(mask_path),
+                "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("outpaint: GeometryMismatch:") and str(mask_path) in err[0], err
+    assert not out.exists()
 
 
 def test_sample_unconditional_prompt_accepted(tmp_path, toy_run):

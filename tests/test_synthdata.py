@@ -369,13 +369,22 @@ def test_pgm_mask_round_trip(tmp_path):
     assert header.startswith(b"P5\n16 16\n255\n")
 
 
+@pytest.mark.parametrize("header", [b"P6 2 1 255 ", b"P6 2 1 255\t", b"P6\n2 1\n255 ", b"P6\n2 1 # c\n255\r"])
+def test_the_raster_starts_after_the_one_whitespace_byte_behind_maxval(tmp_path, header):
+    pixels = bytes([10, 200, 30, 40, 50, 60])  # the first is a newline byte, 0x0A
+    path = tmp_path / "x.ppm"
+    path.write_bytes(header + pixels + bytes(reversed(pixels)))  # a second raster after the first
+    assert ppm.read_raster(path, b"P6").reshape(-1).tolist() == list(pixels)
+
+
 # arbitrary bytes, and pixel bytes behind a header whose sizes are small,
 # huge, zero, negative or not numbers
 _SIZE = st.sampled_from([b"1", b"2", b"3", b"0", b"-1", b"100000", b"ab"]) | st.just(b"1")
 _IMAGE_BYTES = st.binary(max_size=64) | st.builds(
-    lambda magic, w, sep, h, maxval, pixels: magic + b"\n" + w + sep + h + sep + maxval + b"\n" + pixels,
+    lambda magic, w, sep, h, maxval, end, pixels: magic + b"\n" + w + sep + h + sep + maxval + end + pixels,
     st.sampled_from([b"P5", b"P6"]), _SIZE, st.sampled_from([b" ", b"\n", b" #c\n"]), _SIZE,
-    st.sampled_from([b"255", b"65535"]), st.binary(max_size=12) | st.binary(min_size=12, max_size=40),
+    st.sampled_from([b"255", b"65535"]), st.sampled_from([b"\n", b" ", b"\t", b"\r"]),
+    st.binary(max_size=12) | st.binary(min_size=12, max_size=40),
 )
 
 

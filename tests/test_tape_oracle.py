@@ -230,7 +230,7 @@ def test_backward_agrees_with_central_differences_and_keeps_the_tape_contracts(p
     steps, leaf_specs, shapes, seed = program
     rng = np.random.default_rng(seed)
     leaves = [Tensor(rng.uniform(-2, 2, s), requires_grad=rg) for s, rg in leaf_specs]
-    weights = [rng.uniform(-1, 1, s) for s in shapes]
+    weights = [Tensor(rng.uniform(-1, 1, s)) for s in shapes]
     vals, loss = evaluate(steps, leaves, weights)
     forward = [v.data.copy() for v in vals]
 

@@ -140,7 +140,7 @@ def test_no_grad_blocks_recording():
     "name,fn,shape",
     [
         ("add_broadcast", lambda x: T.sum_all(T.mul(T.add(x, Tensor(np.linspace(-1, 1, 4))), T.gelu(x))), (3, 4)),
-        ("sub", lambda x: T.sum_all(T.mul(T.sub(x, 0.3), T.sub(0.7, x))), (3, 4)),
+        ("sub", lambda x: T.sum_all(T.mul(T.sub(x, Tensor(0.3)), T.sub(Tensor(0.7), x))), (3, 4)),
         ("mul_broadcast", lambda x: T.sum_all(T.mul(x, Tensor(np.linspace(0.5, 1.5, 3).reshape(3, 1)))), (3, 4)),
         ("neg_scale", lambda x: T.sum_all(T.scale(x, -2.5)), (2, 3)),
         ("matmul_left", lambda x: T.sum_all(T.mul(T.matmul(x, Tensor(np.linspace(-1, 1, 8).reshape(4, 2))), Tensor(np.linspace(0, 1, 6).reshape(3, 2)))), (3, 4)),
@@ -233,10 +233,10 @@ def test_folded_node_rejects_a_wrong_bias_or_gain_shape():
     x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
     for bias in (np.zeros(3), np.zeros((1, 4)), np.zeros(())):
         with pytest.raises(ShapeMismatch):
-            T.matmul(x, w, bias)
+            T.matmul(x, w, Tensor(bias))
     for gain, bias in ((np.ones(4), np.zeros(3)), (np.ones(3), np.zeros(4)), (np.ones((1, 3)), np.zeros(3))):
         with pytest.raises(ShapeMismatch):
-            T.layernorm_rows(x, gain, bias)
+            T.layernorm_rows(x, Tensor(gain), Tensor(bias))
 
 
 # -- kernels never write to what they read -----------------------------------
