@@ -2,13 +2,18 @@
 
 A ``Tensor`` wraps a numpy array, and ``Tensor(...)`` is the one place an
 array or number becomes one: primitives take ``Tensor`` operands and
-convert nothing. When gradients are enabled, every operation records its
-input tensors and a vector-Jacobian closure on the output node. Node ids
-grow monotonically with creation order, so the recorded graph is an
-implicit tape whose order is already topological: ``backward`` visits the
-nodes that receive a gradient exactly once each, newest first,
-accumulating gradients additively into leaf tensors that require them.
-Every gradient is an array of its tensor's shape.
+convert nothing. When gradients are enabled, an operation with an input
+that requires grad gives its output a ``_Node``: the output's id, the
+nodes of its inputs (an input that requires grad and has no node, a leaf,
+stands as its own ``Tensor``; one that does not require grad as ``None``)
+and a vector-Jacobian closure. No node holds a value, and each closure
+keeps only the arrays its gradients read (``add`` keeps shapes, ``scale``
+nothing), so an intermediate value dies when the forward drops it unless a
+VJP reads it. Node ids grow monotonically with creation order, so the
+recorded graph is an implicit tape whose order is already topological:
+``backward`` visits the nodes that receive a gradient exactly once each,
+newest first, accumulating gradients additively into leaf tensors that
+require them. Every gradient is an array of its tensor's shape.
 
 Everything is float64 so finite-difference checks can be tight. A dense
 layer (``matmul`` with ``bias``) and an affine layer norm (``layernorm_rows``
@@ -80,8 +85,19 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """A recorded operation: its output's id, one entry per input (the input's
+    node, the input itself for a leaf that requires grad, else ``None``) and
+    the VJP, which maps the output's gradient to one gradient per input."""
+
+    __slots__ = ("_id", "parents", "vjp")
+
+    def __init__(self, node_id: int, parents: tuple, vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
+        self._id, self.parents, self.vjp = node_id, parents, vjp
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_id")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_id")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -90,8 +106,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._node: _Node | None = None
         self._id = next(_node_ids)
 
     @property
@@ -127,10 +142,11 @@ class Tensor:
 
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+    if _grad_enabled:
+        nodes = tuple([(p._node or p) if p.requires_grad else None for p in parents])  # a list is faster to build
+        if any(nodes):
+            out.requires_grad = True
+            out._node = _Node(out._id, nodes, vjp)
     return out
 
 
@@ -160,27 +176,33 @@ def _broadcast(op, a: Tensor, b: Tensor) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast(np.add, a, b)
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     return _record(data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast(np.subtract, a, b)
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
 
     return _record(data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast(np.multiply, a, b)
+    # each side's gradient reads the other side's value
+    ad, bd = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
+        ga = None if bd is None else _unbroadcast(g * bd, sa)
+        return (ga, None if ad is None else _unbroadcast(g * ad, sb))
 
     return _record(data, (a, b), vjp)
 
@@ -210,11 +232,13 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         bias = _per_column(bias, b.shape[1], "matmul bias")
         data += bias.data
+    # each side's gradient reads the other side's value
+    ad, bd, biased = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None), bias is not None
 
     def vjp(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
-        return (ga, gb) if bias is None else (ga, gb, g.sum(axis=0))
+        ga = None if bd is None else g @ bd.T
+        gb = None if ad is None else ad.T @ g
+        return (ga, gb, g.sum(axis=0)) if biased else (ga, gb)
 
     return _record(data, (a, b) if bias is None else (a, b, bias), vjp)
 
@@ -282,9 +306,10 @@ def embedding(table: Tensor, ids) -> Tensor:
     ids_arr = np.asarray(ids, dtype=np.int64)
     if ids_arr.ndim != 1:
         raise ShapeMismatch(f"embedding ids must be 1-d, got shape {ids_arr.shape}")
+    src_shape = table.data.shape
 
     def vjp(g):
-        z = np.zeros_like(table.data)
+        z = np.zeros(src_shape)
         np.add.at(z, ids_arr, g)
         return (z,)
 
@@ -322,21 +347,22 @@ def layernorm_rows(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = 
     y = x.data - _row_mean(x.data)
     inv = 1.0 / np.sqrt(_row_mean(y * y) + 1e-5)
     y *= inv
-    data = y
+    data, gd = y, None
     if gain is not None:
         gain, bias = _per_column(gain, x.shape[1], "gain"), _per_column(bias, x.shape[1], "bias")
-        data = y * gain.data
+        gd = gain.data
+        data = y * gd
         data += bias.data
 
     def vjp(g):  # (g' - mean_rows(g') - y * mean_rows(g' * y)) * inv, g' = g * gain
-        gn = g if gain is None else g * gain.data
+        gn = g if gd is None else g * gd
         tmp = gn * y
         gx = gn - _row_mean(gn)
         gx -= np.multiply(y, _row_mean(tmp), out=tmp)
         gx *= inv
-        return (gx,) if gain is None else (gx, np.multiply(g, y, out=tmp).sum(axis=0), g.sum(axis=0))
+        return (gx,) if gd is None else (gx, np.multiply(g, y, out=tmp).sum(axis=0), g.sum(axis=0))
 
-    return _record(data, (x,) if gain is None else (x, gain, bias), vjp)
+    return _record(data, (x,) if gd is None else (x, gain, bias), vjp)
 
 
 def _load_erf():
@@ -367,13 +393,14 @@ def gelu(x: Tensor) -> Tensor:
     _erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    data = x.data * phi
+    xd = x.data
+    data = xd * phi
 
     def vjp(g):  # g * (phi + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
-        d = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
-        np.exp(np.multiply(d, x.data, out=d), out=d)
+        d = np.multiply(xd, -0.5, out=np.empty_like(xd))
+        np.exp(np.multiply(d, xd, out=d), out=d)
         d *= _INV_SQRT2PI
-        np.multiply(x.data, d, out=d)
+        np.multiply(xd, d, out=d)
         d += phi
         return (np.multiply(g, d, out=d),)
 
@@ -405,16 +432,17 @@ def backward(loss: Tensor) -> None:
         raise NotScalar(f"backward from tensor of shape {loss.shape}")
     if not loss.requires_grad:
         return
-    grads: dict[int, np.ndarray] = {loss._id: np.ones_like(loss.data)}
-    pending = [(-loss._id, loss)]
+    root = loss._node or loss
+    grads: dict[int, np.ndarray] = {root._id: np.ones_like(loss.data)}
+    pending = [(-root._id, root)]
     while pending:
         node = heapq.heappop(pending)[1]
         g = grads.pop(node._id)
-        if node._vjp is None:
+        if node.__class__ is Tensor:  # a leaf
             node.grad = g.copy() if node.grad is None else np.asarray(node.grad + g)
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if parent is None or pg is None:
                 continue
             acc = grads.get(parent._id)
             if acc is None:

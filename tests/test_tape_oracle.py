@@ -16,6 +16,8 @@ Under ``no_grad`` the same program records nothing and its forward is
 bitwise equal. A fixed fan-out graph checks the walk's order the same way.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -149,30 +151,48 @@ def evaluate(steps, leaves, weights):
     return vals, loss
 
 
+@contextmanager
+def node_shapes():
+    """Map each node recorded inside the block to its output's shape; a node holds no value."""
+    shapes, record = {}, T._record
+
+    def logged(data, parents, vjp):
+        out = record(data, parents, vjp)
+        if out._node is not None:
+            shapes[out._node] = out.shape
+        return out
+
+    T._record = logged
+    try:
+        yield shapes
+    finally:
+        T._record = record
+
+
 def recorded(loss):
     """Every node with a VJP that the loss depends on."""
-    found, stack = {}, [loss]
+    found, stack = {}, [loss._node]
     while stack:
         node = stack.pop()
-        if node._vjp is not None and id(node) not in found:
+        if isinstance(node, T._Node) and id(node) not in found:
             found[id(node)] = node
-            stack.extend(node._parents)
+            stack.extend(node.parents)
     return list(found.values())
 
 
-def log_vjps(nodes):
+def log_vjps(nodes, shapes):
     """Wrap each VJP to log its node and its incoming gradient (with a copy) per call."""
     calls = []
 
     def logged(node, vjp):
         def run(g):
-            assert isinstance(g, np.ndarray) and g.shape == node.shape
+            assert isinstance(g, np.ndarray) and g.shape == shapes[node]
             calls.append((node, g, g.copy()))
             return vjp(g)
         return run
 
     for n in nodes:
-        n._vjp = logged(n, n._vjp)
+        n.vjp = logged(n, n.vjp)
     return calls
 
 
@@ -182,7 +202,7 @@ def check_walk(nodes, calls):
     assert sorted(order) == sorted(map(id, nodes))
     pos = {node_id: i for i, node_id in enumerate(order)}
     for consumer in nodes:
-        for p in consumer._parents:
+        for p in consumer.parents:
             if id(p) in pos:
                 assert pos[id(consumer)] < pos[id(p)]
 
@@ -199,9 +219,10 @@ def test_backward_runs_each_vjp_once_after_all_its_consumers():
     rng = np.random.default_rng(16)
     x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
-    loss = fan_out_loss(x, w)
+    with node_shapes() as shapes:
+        loss = fan_out_loss(x, w)
     nodes = recorded(loss)
-    calls = log_vjps(nodes)
+    calls = log_vjps(nodes, shapes)
     backward(loss)
     check_walk(nodes, calls)
     assert T.finite_diff_check(lambda t: fan_out_loss(t, w), x) < 1e-6
@@ -231,11 +252,12 @@ def test_backward_agrees_with_central_differences_and_keeps_the_tape_contracts(p
     rng = np.random.default_rng(seed)
     leaves = [Tensor(rng.uniform(-2, 2, s), requires_grad=rg) for s, rg in leaf_specs]
     weights = [Tensor(rng.uniform(-1, 1, s)) for s in shapes]
-    vals, loss = evaluate(steps, leaves, weights)
+    with node_shapes() as shapes:
+        vals, loss = evaluate(steps, leaves, weights)
     forward = [v.data.copy() for v in vals]
 
     nodes = recorded(loss)
-    calls = log_vjps(nodes)
+    calls = log_vjps(nodes, shapes)
     backward(loss)
     check_walk(nodes, calls)
     assert all(np.array_equal(g, before) for _, g, before in calls)
@@ -259,4 +281,4 @@ def test_backward_agrees_with_central_differences_and_keeps_the_tape_contracts(p
     for (op, _, _), v, f in zip(steps, again, forward):
         assert np.array_equal(v.data, f)
         if op != "leaf":
-            assert not v.requires_grad and v._vjp is None and v._parents == ()
+            assert not v.requires_grad and v._node is None

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import io
 import math
 import os
 import struct
+import types
 import weakref
 from dataclasses import fields, replace
 
@@ -376,6 +378,70 @@ def test_each_sample_tape_is_freed_before_the_next_forward(monkeypatch):
     opt = TR.Adam(params.trainable_parameters(), lr=TOY.learning_rate)
     TR.train_step(toy_samples()[:4], params, opt, TOY.schedule(), TR.step_rng(0, 0), VOCAB)
     assert alive == [0, 0, 0, 0]
+
+
+def tape_mb(loss: Tensor, params: DN.DenoiserParams) -> float:
+    """MB of the distinct non-parameter arrays reachable from ``loss`` through
+    the tape: node outputs and what the VJP closures keep. A view counts as
+    the array it views. Walks the tensor module's objects, tuples, lists and
+    closure cells, nothing else."""
+    skip = {id(obj) for _, p in params.named_parameters() for obj in (p, p.data)}
+    seen, arrays, stack = set(), {}, [loss]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in skip:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if id(obj) not in skip:
+                arrays[id(obj)] = obj.nbytes
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (tuple, list)) or type(obj).__module__ == T.__name__:
+            stack.extend(gc.get_referents(obj))
+    return sum(arrays.values()) / 1e6
+
+
+def sample_tape_mb(image_size: int) -> float:
+    """``tape_mb`` of one default-config sample's loss at ``image_size`` px, as a train step holds it."""
+    cfg = TR.TrainConfig(image_size=image_size, center_size=image_size // 2)
+    sample = SD.build_dataset(1, seed=0, spec=SD.SynthSpec(image_size, image_size // 2))[0][0]
+    params, rng = TR.init_model(cfg, VOCAB), TR.step_rng(cfg.seed, 0)
+    t = int(rng.integers(1, cfg.t_steps + 1))
+    eps = rng.standard_normal(cfg.image_shape)
+    x_t = D.forward_sample(sample.image, t, eps, cfg.schedule())
+    pe = tokenize_and_embed(sample.caption, VOCAB, params.text_table, cfg.l_center, cfg.l_surround)
+    loss = D.training_loss(eps, DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe))
+    return tape_mb(loss, params)
+
+
+def test_a_32px_sample_tape_keeps_only_what_its_vjps_read():
+    # each node keeps only the arrays its VJP reads; with every node output kept it is about 26 MB
+    assert sample_tape_mb(32) < 16.0
+
+
+def test_refcounting_alone_frees_a_trained_model_and_its_activations(monkeypatch):
+    record, made = T._record, []
+
+    def watched(data, parents, vjp):
+        out = record(data, parents, vjp)
+        made.append(weakref.ref(out.data))  # Tensor has __slots__; its array lives as long as it does
+        return out
+
+    monkeypatch.setattr(T, "_record", watched)
+    gc.disable()
+    try:
+        params = TR.init_model(TOY, VOCAB)
+        opt = TR.Adam(params.trainable_parameters(), lr=TOY.learning_rate)
+        TR.train_step(toy_samples()[:2], params, opt, TOY.schedule(), TR.step_rng(0, 0), VOCAB)
+        param = weakref.ref(params.patch_w.data)
+        del params, opt
+        assert param() is None
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 def test_zero_learning_rate_freezes_parameters():
