@@ -216,9 +216,11 @@ def train_step(
 ) -> float:
     """One optimization step over a batch; returns the pre-update loss (sample
     losses summed in batch order, then scaled by 1/B). Each sample's scaled
-    loss is backpropagated as soon as its forward ends, so a step holds one
-    sample's tape and its memory does not grow with B; the B ``backward``
-    calls add up in the leaf gradients. A sample of the wrong geometry raises
+    loss is backpropagated as soon as its forward ends, and ``backward`` frees
+    each node's saved arrays as it runs it, so a step holds at most one
+    sample's tape and its memory does not grow with B (about 14 MB at its
+    peak for a default 32 px sample); the B ``backward`` calls add up in the
+    leaf gradients. A sample of the wrong geometry raises
     before any gradient is written, a non-finite loss or pre-clip gradient
     norm (``NonFiniteTraining``) before the update."""
     if not batch:
@@ -238,7 +240,6 @@ def train_step(
         loss = D.training_loss(eps, DN.forward(params, x_t, image, sample.pixel_mask, t, pe))
         backward(T.scale(loss, weight))
         loss_sum += loss.item()
-        del pe, loss  # the next forward must not start while this sample's tape is alive
     loss_value = loss_sum * weight
     grad_norm = clip_gradients(opt.named_params, grad_clip)
     if not (math.isfinite(loss_value) and math.isfinite(grad_norm)):

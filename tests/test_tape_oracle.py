@@ -10,7 +10,9 @@ step reads. For each program, ``backward`` must:
 - run each recorded VJP exactly once, after the VJPs of all its consumers,
   each handed an array of its node's shape;
 - change no forward value and no incoming gradient;
-- accumulate two calls to exactly twice one call.
+- consume the graph: a second call from the same loss raises
+  ``GraphConsumed`` and changes no gradient, and a call on a fresh forward
+  accumulates to exactly twice one call.
 
 Under ``no_grad`` the same program records nothing and its forward is
 bitwise equal. A fixed fan-out graph checks the walk's order the same way.
@@ -19,6 +21,7 @@ bitwise equal. A fixed fan-out graph checks the walk's order the same way.
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from outpaint import tensor as T
@@ -272,7 +275,13 @@ def test_backward_agrees_with_central_differences_and_keeps_the_tape_contracts(p
         else:
             assert g is None
 
-    backward(loss)
+    grads = [t.grad for t in leaves]
+    with pytest.raises(T.GraphConsumed):
+        backward(loss)
+    assert all(t.grad is g for t, g in zip(leaves, grads))
+    assert all(g is None or np.array_equal(g, o) for g, o in zip(grads, once))
+
+    backward(evaluate(steps, leaves, weights)[1])
     for t, g in zip(leaves, once):
         assert (t.grad is None) if g is None else isinstance(t.grad, np.ndarray) and np.array_equal(t.grad, 2 * g)
 

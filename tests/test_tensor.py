@@ -8,6 +8,7 @@ import pytest
 
 from outpaint import tensor as T
 from outpaint.tensor import (
+    GraphConsumed,
     NotScalar,
     ShapeMismatch,
     Tensor,
@@ -95,7 +96,12 @@ def test_backward_accumulates_additively():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     loss = T.sum_all(x)
     backward(loss)
-    backward(loss)
+    grad = x.grad
+    with pytest.raises(GraphConsumed):  # backward consumed the graph; each call needs its own forward
+        backward(loss)
+    assert x.grad is grad
+    np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
+    backward(T.sum_all(x))
     np.testing.assert_array_equal(x.grad, 2 * np.ones((2, 2)))
 
 
@@ -112,6 +118,25 @@ def test_backward_diamond_reuse():
     loss = T.sum_all(T.add(y, y))
     backward(loss)
     np.testing.assert_allclose(x.grad, 4 * x.data, atol=1e-12)
+
+
+def test_gelu_keeps_one_array_and_its_gradient_is_the_two_array_formula():
+    xd = rng(17).uniform(-4, 4, (5, 7))
+    g = rng(18).uniform(-1, 1, xd.shape)
+    x = Tensor(xd.copy(), requires_grad=True)
+    vjp = T.gelu(x)._node.vjp
+    kept = [cell.cell_contents for cell in vjp.__closure__ or ()]
+    assert len(kept) == 1 and isinstance(kept[0], np.ndarray) and kept[0].shape == xd.shape
+    # g * (phi + x * pdf) from x and phi, step by step as a VJP keeping both computed it
+    phi = np.multiply(xd, T._INV_SQRT2)
+    T._erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    d = np.exp(xd * -0.5 * xd)
+    d *= T._INV_SQRT2PI
+    d = xd * d
+    d += phi
+    assert np.array_equal(vjp(g)[0], g * d)
 
 
 def test_backward_is_linear():

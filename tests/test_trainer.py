@@ -4,6 +4,7 @@ import io
 import math
 import os
 import struct
+import tracemalloc
 import types
 import weakref
 from dataclasses import fields, replace
@@ -404,22 +405,52 @@ def tape_mb(loss: Tensor, params: DN.DenoiserParams) -> float:
     return sum(arrays.values()) / 1e6
 
 
-def sample_tape_mb(image_size: int) -> float:
-    """``tape_mb`` of one default-config sample's loss at ``image_size`` px, as a train step holds it."""
+def default_sample(image_size: int):
+    """A default-config model at ``image_size`` px and a function that runs one
+    sample's forward to its loss, as a train step does."""
     cfg = TR.TrainConfig(image_size=image_size, center_size=image_size // 2)
     sample = SD.build_dataset(1, seed=0, spec=SD.SynthSpec(image_size, image_size // 2))[0][0]
     params, rng = TR.init_model(cfg, VOCAB), TR.step_rng(cfg.seed, 0)
     t = int(rng.integers(1, cfg.t_steps + 1))
     eps = rng.standard_normal(cfg.image_shape)
     x_t = D.forward_sample(sample.image, t, eps, cfg.schedule())
-    pe = tokenize_and_embed(sample.caption, VOCAB, params.text_table, cfg.l_center, cfg.l_surround)
-    loss = D.training_loss(eps, DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe))
-    return tape_mb(loss, params)
+
+    def loss() -> Tensor:
+        pe = tokenize_and_embed(sample.caption, VOCAB, params.text_table, cfg.l_center, cfg.l_surround)
+        return D.training_loss(eps, DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe))
+
+    return params, loss
+
+
+def sample_tape_mb(image_size: int) -> float:
+    """``tape_mb`` of one default-config sample's loss at ``image_size`` px, as a train step holds it."""
+    params, loss = default_sample(image_size)
+    return tape_mb(loss(), params)
+
+
+def sample_peak_mb(image_size: int) -> float:
+    """tracemalloc's peak MB over one default-config sample's forward and backward
+    at ``image_size`` px, from zeroed gradients, after one warm forward and backward."""
+    params, loss = default_sample(image_size)
+    T.backward(loss())
+    for _, p in params.trainable_parameters():
+        p.zero_grad()
+    tracemalloc.start()
+    try:
+        T.backward(loss())
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_a_32px_sample_tape_keeps_only_what_its_vjps_read():
-    # each node keeps only the arrays its VJP reads; with every node output kept it is about 26 MB
-    assert sample_tape_mb(32) < 16.0
+    # each node keeps only the arrays its VJP reads (gelu one); with every node output kept it is about 26 MB
+    assert sample_tape_mb(32) < 13.5
+
+
+def test_a_32px_sample_backward_frees_each_node_as_it_runs():
+    # with the whole tape alive until backward returns (and gelu keeping two arrays) the peak is about 18 MB
+    assert sample_peak_mb(32) < 15.5
 
 
 def test_refcounting_alone_frees_a_trained_model_and_its_activations(monkeypatch):
