@@ -128,10 +128,9 @@ def _load_samples(data_dir, cfg: TR.TrainConfig):
 
 def cmd_gen_data(args) -> int:
     spec = SD.SynthSpec(image_size=args.image_size, center_size=args.center_size)
-    SD.check_out_dir(args.out)  # refuse a non-empty --out before rendering anything
-    samples, seeds = SD.build_dataset(
-        args.n, args.seed, spec, uncond_fraction=args.uncond_fraction, irregular=args.irregular
-    )
+    SD.output_dir(args.out)  # refuses a used --out before rendering anything
+    samples, seeds = SD.build_dataset(args.n, args.seed, spec, uncond_fraction=args.uncond_fraction,
+                                      irregular=args.irregular)
     SD.save_dataset(samples, seeds, args.out)
     n_uncond = sum(s.caption.is_unconditional for s in samples)
     print(f"wrote {len(samples)} samples ({n_uncond} unconditional) to {args.out}")
@@ -144,9 +143,9 @@ def cmd_train(args) -> int:
     vocab = SD.vocabulary()
     params = TR.init_model(cfg, vocab)  # before the run directory, so a model too large for memory writes nothing
     opt = TR.Adam(params.trainable_parameters(), lr=cfg.learning_rate)
-    os.makedirs(args.out, exist_ok=True)
-    log_path = os.path.join(args.out, "train_log.tsv")
-    with open(log_path, "w", encoding="utf-8") as log_fh:
+    with SD.output_dir(args.out):  # refuses a used --out and makes an empty one
+        pass  # then the run writes in place, so a diverged one keeps its finite checkpoints
+    with open(os.path.join(args.out, "train_log.tsv"), "w", encoding="utf-8") as log_fh:
         params, opt, losses = TR.run_training(cfg, samples, vocab, params, opt, out_dir=args.out, log_fh=log_fh)
     TR.save_checkpoint(params, opt, cfg, os.path.join(args.out, "model.ckpt"))
     print(f"trained {cfg.iterations} steps; final loss {losses[-1]:.6f}; run dir {args.out}")
@@ -177,10 +176,8 @@ def cmd_sample(args) -> int:
     gen = ddim_sample(params, cfg.schedule(), source, mask, pe, cfg.infer_steps, rng)
     if args.copy:
         gen = EV.copy_center(gen, source, mask)
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    ppm.write_ppm(args.out, gen)
+    with SD.output_file(args.out) as tmp:
+        ppm.write_ppm(tmp, gen)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -206,11 +203,10 @@ def cmd_ablate(args) -> int:
         return EV.evaluate(params, arm_cfg.schedule(), samples, args.eval_n, vocab,
                            infer_steps=arm_cfg.infer_steps, seed=arm_cfg.seed)
 
-    rows = TR.run_ablation(cfg, samples, vocab, eval_fn=eval_arm)
-    text = TR.format_ablation_report(rows)
-    os.makedirs(args.out, exist_ok=True)  # after every arm, so a failed one leaves no --out
-    with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with SD.output_dir(args.out) as out:  # refuses a used --out before an arm trains
+        text = TR.format_ablation_report(TR.run_ablation(cfg, samples, vocab, eval_fn=eval_arm))
+        with open(os.path.join(out, "ablation.tsv"), "w", encoding="utf-8") as fh:
+            fh.write(text)
     print(text, end="")
     return EXIT_OK
 

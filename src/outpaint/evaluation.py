@@ -13,6 +13,7 @@ to some vocabulary words. Images and masks are float64 arrays, used as given.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import operator
 import os
@@ -238,27 +239,24 @@ def evaluate(
     if prompts is None or len(prompts) < n:
         raise ValueError(f"prompt mode {prompt_mode!r} is unknown or has fewer than {n} prompts")
     cfg = params.cfg
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-
     detected, center_errors = [], []
-    for i, (sample, cond) in enumerate(zip(samples[:n], prompts)):
-        pe = tokenize_and_embed(cond, vocab, params.text_table, cfg.l_center, cfg.l_surround)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        image, mask = sample.image, sample.pixel_mask
-        gen = ddim_sample(params, schedule, image, mask, pe, infer_steps, rng)
-        keep = mask == 0.0
-        center_errors.append(float(((gen - image)[:, keep] ** 2).mean()) if keep.any() else 0.0)
-        if copy:
-            gen = copy_center(gen, image, mask)
-        detected.append(detect_keywords(gen, mask))
-        if out_dir is not None:
-            ppm.write_ppm(os.path.join(out_dir, f"gen_{i:05d}.ppm"), gen)
+    with SD.output_dir(out_dir) if out_dir is not None else contextlib.nullcontext() as out:
+        for i, (sample, cond) in enumerate(zip(samples[:n], prompts)):
+            pe = tokenize_and_embed(cond, vocab, params.text_table, cfg.l_center, cfg.l_surround)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            image, mask = sample.image, sample.pixel_mask
+            gen = ddim_sample(params, schedule, image, mask, pe, infer_steps, rng)
+            keep = mask == 0.0
+            center_errors.append(float(((gen - image)[:, keep] ** 2).mean()) if keep.any() else 0.0)
+            if copy:
+                gen = copy_center(gen, image, mask)
+            detected.append(detect_keywords(gen, mask))
+            if out is not None:
+                ppm.write_ppm(os.path.join(out, f"gen_{i:05d}.ppm"), gen)
 
-    report = score(prompts[:n], detected, center_errors)
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_text())
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        report = score(prompts[:n], detected, center_errors)
+        if out is not None:
+            for name, text in (("report.txt", report.to_text()), ("report.json", report.to_json() + "\n")):
+                with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
     return report

@@ -13,10 +13,10 @@ seed always produces bitwise identical samples.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import shutil
-import stat
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -258,30 +258,48 @@ def build_dataset(
 # manifest.tsv: `seed<TAB>image_path<TAB>mask_path<TAB>caption` lines, paths inside the dataset
 
 
-def check_out_dir(out_dir) -> str:
-    """``out_dir`` normalized if it is missing or an empty directory, the
-    places a dataset may be written, and no ``<out_dir>.partial`` is left
-    beside it; anything else raises ``FileExistsError``."""
-    out_dir = os.path.normpath(out_dir)
-    if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and not os.listdir(out_dir)):
-        raise FileExistsError(f"{out_dir}: exists and is not an empty directory")
-    if os.path.lexists(out_dir + ".partial"):
-        raise FileExistsError(f"{out_dir}.partial: left by an interrupted write; remove it first")
-    return out_dir
+def output_dir(out):
+    """``with output_dir(out) as tmp`` yields a new ``<out>.partial``, renamed onto ``out`` if the
+    block succeeds and removed if it raises. ``out`` may be missing (parents are made) or an empty
+    real directory (its mode is kept); anything else, or a ``<out>.partial`` left by a killed run,
+    raises ``FileExistsError`` at the call, so ``output_dir(out)`` alone checks a ``--out``."""
+    out = os.path.normpath(out)
+    tmp = out + ".partial"
+    if os.path.islink(out) or os.path.lexists(out) and not (os.path.isdir(out) and not os.listdir(out)):
+        raise FileExistsError(f"{out}: exists and is not an empty directory, or is a symbolic link")
+    if os.path.lexists(tmp):
+        raise FileExistsError(f"{tmp}: left by an interrupted write; remove it first")
+    @contextlib.contextmanager
+    def staged():
+        os.makedirs(tmp)  # and its parents, with the mode a new out gets
+        try:
+            if os.path.isdir(out):
+                shutil.copymode(out, tmp)
+            yield tmp
+            os.replace(tmp, out)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
+    return staged()
+
+
+@contextlib.contextmanager
+def output_file(path):
+    """``output_dir`` for one file, which may exist: the caller writes the yielded ``<path>.tmp``."""
+    tmp = f"{path}.tmp"
+    os.makedirs(os.path.dirname(tmp) or os.curdir, exist_ok=True)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) -> None:
-    """Write the dataset into ``<out_dir>.partial``, then rename that onto
-    ``out_dir``, so a failed write leaves no partial dataset and a killed one
-    leaves a directory the next ``check_out_dir`` refuses. ``out_dir`` must
-    pass ``check_out_dir`` (missing parents are created)."""
-    out_dir = check_out_dir(out_dir)
-    os.makedirs(os.path.dirname(out_dir) or os.curdir, exist_ok=True)
-    tmp = out_dir + ".partial"
-    os.mkdir(tmp)  # the mode os.makedirs gives a new out_dir
-    try:
-        if os.path.isdir(out_dir):  # an empty out_dir keeps its own mode
-            os.chmod(tmp, stat.S_IMODE(os.stat(out_dir).st_mode))
+    """Write the dataset through ``output_dir``: all of it, or on any failure nothing."""
+    with output_dir(out_dir) as tmp:
         os.mkdir(os.path.join(tmp, "images"))
         os.mkdir(os.path.join(tmp, "masks"))
         lines = []
@@ -293,10 +311,6 @@ def save_dataset(samples: Sequence[SynthSample], seeds: Sequence[int], out_dir) 
             lines.append(f"{seed}\t{img_rel}\t{mask_rel}\t{render(sample.caption)}\n")
         with open(os.path.join(tmp, "manifest.tsv"), "w", encoding="utf-8") as fh:
             fh.writelines(lines)
-        os.replace(tmp, out_dir)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
 
 
 def load_dataset(in_dir) -> tuple[list[SynthSample], list[int]]:

@@ -317,23 +317,15 @@ def _records(params: DN.DenoiserParams, opt: Adam):
 
 
 def save_checkpoint(params: DN.DenoiserParams, opt: Adam, cfg: TrainConfig, path) -> None:
-    """Write ``_records`` under the config header. A failed write leaves any
-    previous file at ``path`` whole."""
+    """Write ``_records`` under the config header through ``SD.output_file``."""
     records = list(_records(params, opt))
     header = _config_header(cfg)
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC + struct.pack("<I", len(header)) + header + struct.pack("<I", len(records)))
-            for name, arr in records:
-                raw, data = name.encode("utf-8"), np.asarray(arr, dtype="<f8")
-                fh.write(struct.pack(f"<I{len(raw)}sI{data.ndim}I", len(raw), raw, data.ndim, *data.shape))
-                fh.write(data.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with SD.output_file(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(_MAGIC + struct.pack("<I", len(header)) + header + struct.pack("<I", len(records)))
+        for name, arr in records:
+            raw, data = name.encode("utf-8"), np.asarray(arr, dtype="<f8")
+            fh.write(struct.pack(f"<I{len(raw)}sI{data.ndim}I", len(raw), raw, data.ndim, *data.shape))
+            fh.write(data.tobytes())
 
 
 def load_checkpoint(path, vocab: Vocab | None = None) -> tuple[DN.DenoiserParams, Adam, TrainConfig]:

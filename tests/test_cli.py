@@ -4,6 +4,7 @@ import filecmp
 import io
 import os
 import resource
+import signal
 import struct
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from outpaint import evaluation as EV
 from outpaint import ppm
 from outpaint import synthdata as SD
 from outpaint import trainer as TR
+from outpaint.sampling import NonFiniteImage, ddim_sample
 
 
 def run(argv):
@@ -68,11 +70,39 @@ def test_gen_data_twice_is_byte_identical(tmp_path):
     assert tree_bytes(a) == tree_bytes(b)
 
 
-def test_gen_data_into_a_non_empty_directory_exits_3_and_changes_nothing(tmp_path):
+WRITERS = ("gen-data", "train", "eval", "ablate")  # the commands whose --out is a directory
+
+
+def writer_argv(command, toy_run, first=True):
+    """``command``'s flags, all but ``--out``; a second run differs from the first."""
+    data, run_dir = toy_run
+    return {
+        "gen-data": ["gen-data", "--n", "3" if first else "5", "--seed", "1"],
+        "train": ["train", "--data", data, *TOY_FLAGS, "--iterations", "2" if first else "1", "--checkpoint-every", "1"],
+        "eval": ["eval", "--ckpt", run_dir + "/model.ckpt", "--data", data, "--steps", "2", "--n", "4" if first else "2"],
+        "ablate": ["ablate", "--data", data, "--eval-n", "2", *TOY_FLAGS, "--iterations", "2" if first else "1"],
+    }[command]
+
+
+def forbid_work(monkeypatch):
+    """Make building a dataset, training and sampling fail the test."""
+    def work(*args, **kwargs):
+        pytest.fail("a command did work it cannot write")
+
+    for module, name in ((SD, "build_dataset"), (TR, "run_training"), (EV, "ddim_sample")):
+        monkeypatch.setattr(module, name, work)
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_second_run_into_the_same_out_exits_3_and_changes_nothing(tmp_path, toy_run, monkeypatch, capsys, command):
     out = tmp_path / "d"
-    assert run(["gen-data", "--out", str(out), "--n", "3", "--seed", "1"]) == 0
+    assert run(writer_argv(command, toy_run) + ["--out", str(out)]) == 0
     before = tree_bytes(out)
-    assert run(["gen-data", "--out", str(out), "--n", "5", "--seed", "2"]) == cli.EXIT_DATA
+    capsys.readouterr()
+    forbid_work(monkeypatch)
+    assert run(writer_argv(command, toy_run, first=False) + ["--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("outpaint: FileExistsError:"), err
     assert tree_bytes(out) == before
     assert sorted(os.listdir(tmp_path)) == ["d"]
 
@@ -89,17 +119,30 @@ def test_gen_data_refuses_a_non_empty_out_before_building_anything(tmp_path, mon
     assert tree_bytes(tmp_path) == {os.path.join("d", "keep.txt"): b"x"}
 
 
-def test_gen_data_refuses_a_leftover_partial_write(tmp_path, monkeypatch, capsys):
+def test_gen_data_refuses_a_symlinked_out_before_building_anything(tmp_path, monkeypatch, capsys):
     def no_build(*args, **kwargs):
         raise AssertionError("gen-data built a dataset it cannot write")
 
     monkeypatch.setattr(SD, "build_dataset", no_build)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.mkdir()
+    link.symlink_to(target, target_is_directory=True)
+    assert run(["gen-data", "--out", str(link), "--n", "4"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("outpaint: FileExistsError:") and str(link) in err[0], err
+    assert os.readlink(link) == str(target) and os.listdir(target) == []
+    assert sorted(os.listdir(tmp_path)) == ["link", "target"]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_leftover_partial_write_is_refused_before_any_work(tmp_path, toy_run, monkeypatch, capsys, command):
+    forbid_work(monkeypatch)
     (tmp_path / "d.partial" / "images").mkdir(parents=True)  # what a killed write leaves
     (tmp_path / "d.partial" / "images" / "00000.ppm").write_bytes(b"P6")
     before = tree_bytes(tmp_path)
-    assert run(["gen-data", "--out", str(tmp_path / "d"), "--n", "4"]) == cli.EXIT_DATA
+    assert run(writer_argv(command, toy_run) + ["--out", str(tmp_path / "d")]) == cli.EXIT_DATA
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "d.partial" in err[0]
+    assert len(err) == 1 and "d.partial" in err[0], err
     assert tree_bytes(tmp_path) == before
     assert sorted(os.listdir(tmp_path)) == ["d.partial"]
 
@@ -309,6 +352,26 @@ def test_sample_deterministic_and_copy(tmp_path, toy_run):
     source = ppm.read_ppm(src)
     mask = SD.make_center_mask(12, 8)
     np.testing.assert_array_equal(gen[:, mask == 0], source[:, mask == 0])
+
+
+def test_failed_sample_write_keeps_the_previous_file(tmp_path, toy_run, monkeypatch, capsys):
+    ckpt = os.path.join(toy_run[1], "model.ckpt")
+    out = tmp_path / "x.ppm"
+    assert run(["sample", "--ckpt", ckpt, "--steps", "2", "--out", str(out)]) == 0
+    before = out.read_bytes()
+
+    def half_write_then_fail(path, img):
+        with open(path, "wb") as fh:
+            fh.write(before[: len(before) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(ppm, "write_ppm", half_write_then_fail)
+    capsys.readouterr()
+    assert run(["sample", "--ckpt", ckpt, "--steps", "2", "--seed", "1", "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no space left on device" in err[0], err
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["x.ppm"]
 
 
 def test_sample_with_a_dataset_mask_file(tmp_path, toy_run):
@@ -538,6 +601,53 @@ def test_eval_of_no_samples_exits_3_and_writes_no_report(tmp_path, toy_run, caps
     assert not out.exists()
 
 
+def test_eval_failing_at_a_later_image_exits_3_and_leaves_no_out(tmp_path, toy_run, monkeypatch, capsys):
+    data, run_dir = toy_run
+    calls = []
+
+    def second_image_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NonFiniteImage("3 of 432 image values are not finite after 2 steps")
+        return ddim_sample(*args, **kwargs)
+
+    monkeypatch.setattr(EV, "ddim_sample", second_image_fails)
+    assert run(["eval", "--ckpt", run_dir + "/model.ckpt", "--data", data, "--n", "3", "--steps", "2",
+                "--out", str(tmp_path / "rep")]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "NonFiniteImage" in err[0], err
+    assert len(calls) == 2 and os.listdir(tmp_path) == []
+
+
+KILL_AT_SECOND_IMAGE = """
+import os, signal, sys
+from outpaint import cli, evaluation as EV
+real, calls = EV.ddim_sample, []
+def kill_at_second_image(*args, **kwargs):
+    calls.append(1)
+    if len(calls) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args, **kwargs)
+EV.ddim_sample = kill_at_second_image
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_killed_eval_leaves_its_partial_and_the_rerun_refuses_it(tmp_path, toy_run, capsys):
+    data, run_dir = toy_run
+    argv = ["eval", "--ckpt", run_dir + "/model.ckpt", "--data", data, "--n", "3", "--steps", "2",
+            "--out", str(tmp_path / "rep")]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", KILL_AT_SECOND_IMAGE, *argv], env=env, timeout=300)
+    assert done.returncode == -signal.SIGKILL
+    assert os.listdir(tmp_path) == ["rep.partial"] and os.listdir(tmp_path / "rep.partial") == ["gen_00000.ppm"]
+    before = tree_bytes(tmp_path)
+    assert run(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{tmp_path / 'rep.partial'}: left by an interrupted write" in err[0], err
+    assert tree_bytes(tmp_path) == before
+
+
 def test_eval_swapped_mode(tmp_path, toy_run):
     data, run_dir = toy_run
     out = str(tmp_path / "sw")
@@ -636,3 +746,20 @@ def test_failed_ablate_exits_3_and_leaves_no_out(tmp_path, toy_run, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "NonFiniteTraining: step 2:" in err[0], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["file", "non-empty directory"])
+def test_ablate_into_a_used_out_exits_3_before_any_arm_trains(tmp_path, toy_run, monkeypatch, capsys, kind):
+    monkeypatch.setattr(TR, "run_training", lambda *a, **k: pytest.fail("an ablation arm trained"))
+    out = tmp_path / "ab"
+    if kind == "file":
+        out.write_text("x")
+    else:
+        out.mkdir()
+        (out / "ablation.tsv").write_text("x")
+    before = tree_bytes(tmp_path)
+    assert run(["ablate", "--data", toy_run[0], "--out", str(out), "--eval-n", "2"] + TOY_FLAGS) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("outpaint: FileExistsError:"), err
+    assert tree_bytes(tmp_path) == before
+    assert sorted(os.listdir(tmp_path)) == ["ab"]
