@@ -140,14 +140,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     samples = _load_samples(args.data, cfg)
-    vocab = SD.vocabulary()
-    params = TR.init_model(cfg, vocab)  # before the run directory, so a model too large for memory writes nothing
-    opt = TR.Adam(params.trainable_parameters(), lr=cfg.learning_rate)
-    with SD.output_dir(args.out):  # refuses a used --out and makes an empty one
-        pass  # then the run writes in place, so a diverged one keeps its finite checkpoints
-    with open(os.path.join(args.out, "train_log.tsv"), "w", encoding="utf-8") as log_fh:
-        params, opt, losses = TR.run_training(cfg, samples, vocab, params, opt, out_dir=args.out, log_fh=log_fh)
-    TR.save_checkpoint(params, opt, cfg, os.path.join(args.out, "model.ckpt"))
+    SD.output_dir(args.out)  # refuses a used --out before the model is built; run_training writes it
+    _, _, losses = TR.run_training(cfg, samples, SD.vocabulary(), out_dir=args.out)
     print(f"trained {cfg.iterations} steps; final loss {losses[-1]:.6f}; run dir {args.out}")
     return EXIT_OK
 

@@ -433,8 +433,8 @@ def backward(loss: Tensor) -> None:
 
     The walk consumes the graph: each node's VJP is taken out of the node
     before it runs, so the arrays it keeps die as it returns, and reaching a
-    consumed node raises ``GraphConsumed`` (a second call from the same loss
-    does so before any gradient changes). Calls on fresh forwards without
+    consumed node raises ``GraphConsumed`` before any gradient changes: leaf
+    gradients are written once the walk has finished. Calls on fresh forwards without
     zero_grad add up; gradients of intermediate nodes are not retained. The
     nodes holding a gradient wait in a max-heap on id, so each runs its VJP
     once, after every consumer (a newer node).
@@ -445,13 +445,13 @@ def backward(loss: Tensor) -> None:
         return
     root = loss._node or loss
     grads: dict[int, np.ndarray] = {root._id: np.ones_like(loss.data)}
-    pending = [(-root._id, root)]
+    pending, leaves = [(-root._id, root)], []
     while pending:
         node = heapq.heappop(pending)[1]
-        g = grads.pop(node._id)
         if node.__class__ is Tensor:  # a leaf
-            node.grad = g.copy() if node.grad is None else np.asarray(node.grad + g)
+            leaves.append(node)
             continue
+        g = grads.pop(node._id)
         vjp, node.vjp = node.vjp, None
         if vjp is None:
             raise GraphConsumed("backward through a graph an earlier backward consumed; run the forward again")
@@ -462,6 +462,9 @@ def backward(loss: Tensor) -> None:
             if acc is None:
                 heapq.heappush(pending, (-parent._id, parent))
             grads[parent._id] = np.asarray(pg if acc is None else acc + pg)  # 0-d ufunc results are scalars
+    for leaf in leaves:
+        g = grads.pop(leaf._id)
+        leaf.grad = g.copy() if leaf.grad is None else np.asarray(leaf.grad + g)
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -248,24 +248,24 @@ def train_step(
     return loss_value
 
 
-def run_training(
-    cfg: TrainConfig,
-    samples: list[SynthSample],
-    vocab: Vocab,
-    params: DN.DenoiserParams | None = None,
-    opt: Adam | None = None,
-    out_dir=None,
-    log_fh=None,
-) -> tuple[DN.DenoiserParams, Adam, list[float]]:
+def run_training(cfg: TrainConfig, samples: list[SynthSample], vocab: Vocab, params: DN.DenoiserParams | None = None,
+                 opt: Adam | None = None, out_dir=None) -> tuple[DN.DenoiserParams, Adam, list[float]]:
     """Train from scratch or continue (params+opt) up to cfg.iterations.
 
     The optimizer step counter doubles as the global step index, so a
     loaded checkpoint resumes mid-trajectory with identical randomness.
+    Given ``out_dir``, the run is its only writer: ``SD.output_dir`` refuses a
+    used one, and the run then writes in place (so a diverged run keeps its
+    finite checkpoints) each step's ``train_log.tsv`` line, closed before that
+    step's ``ckpt_<step>.bin``, and ``model.ckpt`` after the last step.
     """
     if params is None:
         params = init_model(cfg, vocab)
     if opt is None:
         opt = Adam(params.trainable_parameters(), lr=cfg.learning_rate)
+    if out_dir is not None:
+        with SD.output_dir(out_dir) as tmp:  # after the model, so one too large for memory writes nothing
+            open(os.path.join(tmp, "train_log.tsv"), "w").close()
     schedule = cfg.schedule()
     losses = []
     for step in range(opt.t, cfg.iterations):
@@ -274,11 +274,14 @@ def run_training(
         batch = [samples[i] for i in idx]
         loss = train_step(batch, params, opt, schedule, rng, vocab, cfg.grad_clip)
         losses.append(loss)
-        if log_fh is not None:
+        if out_dir is not None:
             fusion_csv = ",".join(repr(v) for v in params.fusion_values())
-            log_fh.write(f"{opt.t}\t{repr(loss)}\t{fusion_csv}\n")
-        if out_dir is not None and (opt.t % cfg.checkpoint_every == 0 or opt.t == cfg.iterations):
-            save_checkpoint(params, opt, cfg, os.path.join(out_dir, f"ckpt_{opt.t:06d}.bin"))
+            with open(os.path.join(out_dir, "train_log.tsv"), "a", encoding="utf-8") as log:
+                log.write(f"{opt.t}\t{repr(loss)}\t{fusion_csv}\n")
+            if opt.t % cfg.checkpoint_every == 0 or opt.t == cfg.iterations:
+                save_checkpoint(params, opt, cfg, os.path.join(out_dir, f"ckpt_{opt.t:06d}.bin"))
+    if out_dir is not None:
+        save_checkpoint(params, opt, cfg, os.path.join(out_dir, "model.ckpt"))
     return params, opt, losses
 
 

@@ -190,6 +190,34 @@ def test_train_writes_log_and_checkpoints(toy_run):
     assert os.path.exists(os.path.join(run_dir, "ckpt_000002.bin"))
 
 
+def test_each_checkpoint_finds_its_steps_log_lines_on_disk(tmp_path, toy_run, monkeypatch):
+    data, _ = toy_run
+    logged = {}  # checkpoint name -> the step column of train_log.tsv as its write began
+    real = TR.save_checkpoint
+
+    def save(params, opt, cfg, path):
+        with open(os.path.join(os.path.dirname(path), "train_log.tsv"), encoding="utf-8") as fh:
+            logged[os.path.basename(path)] = [line.split("\t")[0] for line in fh]
+        real(params, opt, cfg, path)
+
+    monkeypatch.setattr(TR, "save_checkpoint", save)
+    assert run(["train", "--data", data, "--out", str(tmp_path / "run")] + TOY_FLAGS + ["--checkpoint-every", "1"]) == 0
+    steps = [str(t) for t in range(1, 4)]
+    assert logged == {"ckpt_000001.bin": steps[:1], "ckpt_000002.bin": steps[:2], "ckpt_000003.bin": steps,
+                      "model.ckpt": steps}
+
+
+def test_a_library_run_leaves_the_tree_train_leaves(tmp_path, toy_run):
+    data, _ = toy_run
+    flags = zip(TOY_FLAGS[::2], TOY_FLAGS[1::2])
+    cfg = TR.config_from_mapping({flag[2:].replace("-", "_"): value for flag, value in flags})
+    TR.run_training(cfg, SD.load_dataset(data)[0], SD.vocabulary(), out_dir=tmp_path / "lib")
+    assert run(["train", "--data", data, "--out", str(tmp_path / "cli")] + TOY_FLAGS) == 0
+    lib, cli_tree = tree_bytes(tmp_path / "lib"), tree_bytes(tmp_path / "cli")
+    assert sorted(lib) == ["ckpt_000002.bin", "ckpt_000003.bin", "model.ckpt", "train_log.tsv"]
+    assert lib == cli_tree
+
+
 def test_non_finite_training_exits_3_and_keeps_only_finite_checkpoints(tmp_path, toy_run, capsys):
     data, _ = toy_run
     run_dir = tmp_path / "nan"

@@ -105,6 +105,19 @@ def test_backward_accumulates_additively():
     np.testing.assert_array_equal(x.grad, 2 * np.ones((2, 2)))
 
 
+def test_a_consumed_graph_changes_no_gradient():
+    # w is newer than gelu's node, so the second walk reaches w before the consumed node
+    x = Tensor(rng(6).uniform(-1, 1, 3), requires_grad=True)
+    shared = T.gelu(x)
+    w = Tensor(rng(7).uniform(-1, 1, 3), requires_grad=True)
+    backward(T.sum_all(shared))
+    x_grad = x.grad.copy()
+    with pytest.raises(GraphConsumed):
+        backward(T.sum_all(T.mul(shared, w)))
+    assert w.grad is None
+    np.testing.assert_array_equal(x.grad, x_grad)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(NotScalar):

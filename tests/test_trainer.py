@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import io
 import math
 import os
 import struct
@@ -528,10 +527,9 @@ def test_run_training_only_trainable_parameters_change():
 
 def test_training_loss_finite_and_logged(tmp_path):
     samples = toy_samples()
-    log = io.StringIO()
-    params, opt, losses = TR.run_training(TOY, samples, VOCAB, log_fh=log)
+    params, opt, losses = TR.run_training(TOY, samples, VOCAB, out_dir=tmp_path)
     assert all(np.isfinite(losses))
-    lines = log.getvalue().strip().splitlines()
+    lines = (tmp_path / "train_log.tsv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == TOY.iterations
     step, loss, fusion = lines[0].split("\t")
     assert step == "1" and float(loss) == losses[0]
@@ -791,7 +789,16 @@ def test_run_training_writes_periodic_checkpoints(tmp_path):
     samples = toy_samples()
     TR.run_training(TOY, samples, VOCAB, out_dir=tmp_path)
     names = sorted(os.listdir(tmp_path))
-    assert names == ["ckpt_000002.bin", "ckpt_000004.bin"]
+    assert names == ["ckpt_000002.bin", "ckpt_000004.bin", "model.ckpt", "train_log.tsv"]
+    assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "ckpt_000004.bin").read_bytes()
+
+
+def test_run_training_refuses_a_used_out_dir_before_step_1(tmp_path, monkeypatch):
+    (tmp_path / "keep.txt").write_text("x")
+    monkeypatch.setattr(TR, "train_step", lambda *a, **k: pytest.fail("a step ran"))
+    with pytest.raises(FileExistsError):
+        TR.run_training(TOY, toy_samples(), VOCAB, out_dir=tmp_path)
+    assert os.listdir(tmp_path) == ["keep.txt"] and (tmp_path / "keep.txt").read_text() == "x"
 
 
 def test_training_progress_on_fixed_samples():
