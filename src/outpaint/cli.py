@@ -45,6 +45,14 @@ def bounded(parse, lo, hi=math.inf):
 count = bounded(int, 1)  # flags that count samples
 seed = bounded(int, *TR.TrainConfig.range_of("seed"))
 
+# The TrainConfig settings a command does not read, with the reason; it offers them neither as
+# flags nor as --config keys. ablate keeps center_size, which TrainConfig checks against image_size.
+_SET_BY_THE_DATA = {"uncond_fraction": "a dataset setting; give it to gen-data --uncond-fraction",
+                    "channels": "every image the CLI reads or writes is RGB"}
+UNREAD_SETTINGS = {"train": _SET_BY_THE_DATA,
+                   "ablate": {**_SET_BY_THE_DATA, "a_mode": "each arm sets its own (ABLATION_MODES)",
+                              "checkpoint_every": "the arms write no checkpoint"}}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="outpaint", description=__doc__)
@@ -76,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score a trained model on a dataset")
     ev.add_argument("--ckpt", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument("--n", type=int, default=100)
+    ev.add_argument("--n", type=count, default=100)
     ev.add_argument("--mode", choices=("dataset", "unconditional", "swapped"), default="dataset")
     ev.add_argument("--steps", type=int, default=None)
     ev.add_argument("--seed", type=seed, default=0)
@@ -88,9 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--out", required=True)
     ab.add_argument("--eval-n", type=count, default=32, help="samples scored per arm")
 
-    for p in (train, ab):
+    for command, p in (("train", train), ("ablate", ab)):
         p.add_argument("--config", help="key = value config file")
         for f in fields(TR.TrainConfig):
+            if f.name in UNREAD_SETTINGS[command]:
+                continue
             span = "range [{}, {}], ".format(*f.metadata["range"]) if "range" in f.metadata else ""
             p.add_argument(f"--{f.name.replace('_', '-')}", dest=f"cfg_{f.name}", help=f"{span}default {f.default}")
 
@@ -100,6 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> TR.TrainConfig:
     """The ``--config`` file's settings, overridden by the config flags given."""
     mapping = TR.read_config_file(args.config) if args.config else {}
+    unread = UNREAD_SETTINGS[args.command]
+    refused = next((key for key in mapping if key in unread), None)
+    if refused is not None:
+        raise TR.ConfigError(f"{args.config}: {args.command} does not read {refused!r}: {unread[refused]}")
     mapping.update({key.removeprefix("cfg_"): value for key, value in vars(args).items()
                     if key.startswith("cfg_") and value is not None})
     return TR.config_from_mapping(mapping)

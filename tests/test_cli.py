@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import filecmp
@@ -34,7 +35,7 @@ def tree_bytes(root):
     return out
 
 
-TOY_FLAGS = [
+TOY_SETTINGS = [  # the toy run's settings that train and ablate both read
     "--iterations", "3",
     "--batch-size", "2",
     "--t-steps", "10",
@@ -47,8 +48,8 @@ TOY_FLAGS = [
     "--d-text", "8",
     "--l-center", "4",
     "--l-surround", "4",
-    "--checkpoint-every", "2",
 ]
+TOY_FLAGS = TOY_SETTINGS + ["--checkpoint-every", "2"]  # train's; ablate's arms write no checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ def writer_argv(command, toy_run, first=True):
         "gen-data": ["gen-data", "--n", "3" if first else "5", "--seed", "1"],
         "train": ["train", "--data", data, *TOY_FLAGS, "--iterations", "2" if first else "1", "--checkpoint-every", "1"],
         "eval": ["eval", "--ckpt", run_dir + "/model.ckpt", "--data", data, "--steps", "2", "--n", "4" if first else "2"],
-        "ablate": ["ablate", "--data", data, "--eval-n", "2", *TOY_FLAGS, "--iterations", "2" if first else "1"],
+        "ablate": ["ablate", "--data", data, "--eval-n", "2", *TOY_SETTINGS, "--iterations", "2" if first else "1"],
     }[command]
 
 
@@ -269,7 +270,7 @@ def test_over_long_caption_exits_3_before_anything_is_written(tmp_path, toy_run,
     ckpt = toy_run[1] + "/model.ckpt"
     for argv in (["train", "--data", str(data)] + TOY_FLAGS + ["--checkpoint-every", "1"],
                  ["eval", "--ckpt", ckpt, "--data", str(data), "--steps", "2"],
-                 ["ablate", "--data", str(data), "--eval-n", "2"] + TOY_FLAGS):
+                 ["ablate", "--data", str(data), "--eval-n", "2"] + TOY_SETTINGS):
         out = tmp_path / "out"
         assert run(argv + ["--out", str(out)]) == cli.EXIT_DATA, argv[0]
         err = capsys.readouterr().err.splitlines()
@@ -563,14 +564,91 @@ def test_model_too_large_for_memory_exits_3_and_writes_nothing(tmp_path):
     assert not run_dir.exists()
 
 
+# the TrainConfig settings each command does not read, and so offers neither as a flag nor as a --config key
+UNREAD = {"train": ["uncond_fraction", "channels"],
+          "ablate": ["uncond_fraction", "channels", "a_mode", "checkpoint_every"]}
+
+
+def config_flags(command):
+    """The TrainConfig settings ``command`` offers as flags, read from the parser ``main`` uses."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.dest.removeprefix("cfg_") for a in sub.choices[command]._actions if a.dest.startswith("cfg_")]
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_config_flag_help_shows_the_declared_range_and_default(monkeypatch, capsys, command):
     monkeypatch.setenv("COLUMNS", "400")  # no wrapped help lines
     assert run([command, "--help"]) == cli.EXIT_OK
     text = capsys.readouterr().out
-    for f in dataclasses.fields(TR.TrainConfig):
+    offered = [f for f in dataclasses.fields(TR.TrainConfig) if f.name not in UNREAD[command]]
+    assert [f.name for f in offered] == config_flags(command)
+    assert len(offered) == {"train": 19, "ablate": 17}[command]
+    for f in offered:
         span = "range [{}, {}], ".format(*f.metadata["range"]) if "range" in f.metadata else ""
         assert f"--{f.name.replace('_', '-')} " in text and f"{span}default {f.default}\n" in text, f.name
+    for name in UNREAD[command]:
+        assert f"--{name.replace('_', '-')} " not in text, name
+
+
+@pytest.mark.parametrize("command,name", [(c, n) for c in UNREAD for n in UNREAD[c]])
+def test_an_unread_setting_exits_2_as_a_flag_or_a_config_key_and_writes_nothing(tmp_path, toy_run, monkeypatch,
+                                                                                capsys, command, name):
+    forbid_work(monkeypatch)
+    monkeypatch.setattr(SD, "load_dataset", lambda *a, **k: pytest.fail("a dataset was loaded"))
+    value = str(getattr(TR.TrainConfig(), name))  # the default: in range, and still refused
+    out = tmp_path / "out"
+    argv = [command, "--data", toy_run[0], "--out", str(out)] + TOY_SETTINGS
+    flag = f"--{name.replace('_', '-')}"
+    assert run(argv + [flag, value]) == cli.EXIT_USAGE
+    assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert not out.exists()
+    config = tmp_path / "c.cfg"
+    config.write_text(f"iterations = 2\n{name} = {value}\n")
+    assert run(argv + ["--config", str(config)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"outpaint: config error: {config}: {command} does not read {name!r}: "
+                   f"{cli.UNREAD_SETTINGS[command][name]}"], err
+    assert sorted(os.listdir(tmp_path)) == ["c.cfg"]
+
+
+# a second in-range value for every config setting: TOY_FLAGS's value, or the default, differs from it
+OTHER_VALUE = {
+    "patch_size": "4", "d_model": "12", "n_blocks": "2", "d_text": "4", "l_center": "5", "l_surround": "5",
+    "t_steps": "12", "iterations": "4", "batch_size": "3", "learning_rate": "0.01", "seed": "1",
+    "a_mode": "random", "beta_start": "0.001", "beta_end": "0.1", "infer_steps": "3", "center_size": "4",
+    "checkpoint_every": "1", "grad_clip": "0.01",
+}
+# image_size is the dataset's; ablate's arms evaluate each sample with its own mask, so its center_size
+# is only checked against image_size
+SAME_OUTPUT = {"train": {"image_size"}, "ablate": {"image_size", "center_size"}}
+
+
+def train_outputs(root, data, flags):
+    """The log, checkpoint names and trained weights of a toy train run, and the image ``sample`` makes from it."""
+    assert run(["train", "--data", data, "--out", str(root / "run")] + flags) == 0
+    assert run(["sample", "--ckpt", str(root / "run" / "model.ckpt"), "--out", str(root / "x.ppm")]) == 0
+    params, _, _ = TR.load_checkpoint(root / "run" / "model.ckpt")
+    return ((root / "run" / "train_log.tsv").read_bytes(), sorted(os.listdir(root / "run")),
+            TR.params_checksum(params), (root / "x.ppm").read_bytes())
+
+
+def ablate_outputs(root, data, flags):
+    assert run(["ablate", "--data", data, "--out", str(root), "--eval-n", "2"] + flags) == 0
+    return (root / "ablation.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_every_config_flag_changes_the_output(tmp_path, toy_run, command):
+    outputs, base = {"train": (train_outputs, TOY_FLAGS), "ablate": (ablate_outputs, TOY_SETTINGS)}[command]
+    first = outputs(tmp_path / "base", toy_run[0], base)
+    unchanged = []
+    for name in config_flags(command):
+        if name in SAME_OUTPUT[command]:
+            continue
+        assert name in OTHER_VALUE, f"{command} offers --{name.replace('_', '-')}, which has no second value here"
+        if outputs(tmp_path / name, toy_run[0], base + [f"--{name.replace('_', '-')}", OTHER_VALUE[name]]) == first:
+            unchanged.append(name)
+    assert unchanged == []
 
 
 def test_bad_beta_end_exits_2_before_any_checkpoint(tmp_path, toy_run, capsys):
@@ -619,13 +697,13 @@ def test_eval_runs_and_is_deterministic(tmp_path, toy_run):
     assert tree_bytes(tmp_path / "e1") == tree_bytes(tmp_path / "e2")
 
 
-def test_eval_of_no_samples_exits_3_and_writes_no_report(tmp_path, toy_run, capsys):
+def test_eval_of_no_samples_exits_2_and_writes_no_report(tmp_path, toy_run, monkeypatch, capsys):
     data, run_dir = toy_run
+    monkeypatch.setattr(TR, "load_checkpoint", lambda *a, **k: pytest.fail("the checkpoint was read"))
     out = tmp_path / "none"
     assert run(["eval", "--ckpt", run_dir + "/model.ckpt", "--data", data, "--n", "0",
-                "--out", str(out)]) == cli.EXIT_DATA
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "nothing to evaluate" in err[0], err
+                "--out", str(out)]) == cli.EXIT_USAGE
+    assert "error: argument --n: must be in [1, inf], got 0\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -710,13 +788,17 @@ def test_bad_sampler_steps_exit_2_and_write_nothing(tmp_path, toy_run, capsys):
 @pytest.mark.parametrize("argv", [
     ["gen-data", "--n", "0"],
     ["gen-data", "--n", "-3"],
-    ["ablate", "--eval-n", "0"] + TOY_FLAGS,
+    ["ablate", "--eval-n", "0"] + TOY_SETTINGS,
+    ["eval", "--n", "0"],
 ])
 def test_count_flags_below_1_exit_2_and_write_nothing(tmp_path, toy_run, monkeypatch, argv):
     monkeypatch.setattr(TR, "run_training", lambda *a, **k: pytest.fail("an ablation arm trained"))
+    monkeypatch.setattr(TR, "load_checkpoint", lambda *a, **k: pytest.fail("the checkpoint was read"))
     out = tmp_path / "out"
-    data = ["--data", toy_run[0]] if argv[0] == "ablate" else []
-    assert run(argv + data + ["--out", str(out)]) == cli.EXIT_USAGE
+    data, run_dir = toy_run
+    inputs = {"gen-data": [], "ablate": ["--data", data],
+              "eval": ["--ckpt", run_dir + "/model.ckpt", "--data", data]}[argv[0]]
+    assert run(argv + inputs + ["--out", str(out)]) == cli.EXIT_USAGE
     assert not out.exists()
 
 
@@ -753,7 +835,7 @@ def test_usage_errors_exit_2():
 def test_ablate_smoke(tmp_path, toy_run):
     data, _ = toy_run
     out = str(tmp_path / "ab")
-    code = run(["ablate", "--data", data, "--out", out, "--eval-n", "2"] + TOY_FLAGS)
+    code = run(["ablate", "--data", data, "--out", out, "--eval-n", "2"] + TOY_SETTINGS)
     assert code == 0
     text = open(os.path.join(out, "ablation.tsv")).read()
     assert text.splitlines()[0].startswith("a_mode")
@@ -769,7 +851,7 @@ def test_ablate_smoke(tmp_path, toy_run):
 
 def test_failed_ablate_exits_3_and_leaves_no_out(tmp_path, toy_run, capsys):
     out = tmp_path / "ab"
-    flags = TOY_FLAGS + ["--learning-rate", "1e200"]
+    flags = TOY_SETTINGS + ["--learning-rate", "1e200"]
     assert run(["ablate", "--data", toy_run[0], "--out", str(out), "--eval-n", "2"] + flags) == cli.EXIT_DATA
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "NonFiniteTraining: step 2:" in err[0], err
@@ -786,7 +868,7 @@ def test_ablate_into_a_used_out_exits_3_before_any_arm_trains(tmp_path, toy_run,
         out.mkdir()
         (out / "ablation.tsv").write_text("x")
     before = tree_bytes(tmp_path)
-    assert run(["ablate", "--data", toy_run[0], "--out", str(out), "--eval-n", "2"] + TOY_FLAGS) == cli.EXIT_DATA
+    assert run(["ablate", "--data", toy_run[0], "--out", str(out), "--eval-n", "2"] + TOY_SETTINGS) == cli.EXIT_DATA
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("outpaint: FileExistsError:"), err
     assert tree_bytes(tmp_path) == before
