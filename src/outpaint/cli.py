@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -44,6 +44,7 @@ def bounded(parse, lo, hi=math.inf):
 
 count = bounded(int, 1)  # flags that count samples
 seed = bounded(int, *TR.TrainConfig.range_of("seed"))
+steps = bounded(int, *TR.TrainConfig.range_of("infer_steps"))  # overrides the checkpoint's infer_steps
 
 # The TrainConfig settings a command does not read, with the reason; it offers them neither as
 # flags nor as --config keys. ablate keeps center_size, which TrainConfig checks against image_size.
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--prompt", default="Center:; Surrounding:")
     sample.add_argument("--image", help="source PPM providing the known content (defaults to blank)")
     sample.add_argument("--mask", default="center", help="mask PGM path, or 'center' for the centered square")
-    sample.add_argument("--steps", type=int, default=None, help="sampler steps (default: checkpoint setting)")
+    sample.add_argument("--steps", type=steps, default=None, help="sampler steps (default: checkpoint setting)")
     sample.add_argument("--seed", type=seed, default=0)
     sample.add_argument("--copy", action="store_true", help="paste the source center into the result")
     sample.add_argument("--out", required=True, help="output PPM path")
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--n", type=count, default=100)
     ev.add_argument("--mode", choices=("dataset", "unconditional", "swapped"), default="dataset")
-    ev.add_argument("--steps", type=int, default=None)
+    ev.add_argument("--steps", type=steps, default=None)
     ev.add_argument("--seed", type=seed, default=0)
     ev.add_argument("--copy", action="store_true")
     ev.add_argument("--out", required=True, help="report directory")
@@ -117,11 +118,6 @@ def _config_from_args(args) -> TR.TrainConfig:
     mapping.update({key.removeprefix("cfg_"): value for key, value in vars(args).items()
                     if key.startswith("cfg_") and value is not None})
     return TR.config_from_mapping(mapping)
-
-
-def _checkpoint(args):  # --steps replaces infer_steps, so the config checks it like any setting
-    params, _, cfg = TR.load_checkpoint(args.ckpt)
-    return params, cfg if args.steps is None else replace(cfg, infer_steps=args.steps)
 
 
 def _load_samples(data_dir, cfg: TR.TrainConfig):
@@ -162,7 +158,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     prompt = parse(args.prompt)
-    params, cfg = _checkpoint(args)
+    params, _, cfg = TR.load_checkpoint(args.ckpt)
     vocab = SD.vocabulary()
     shape = cfg.image_shape
 
@@ -181,7 +177,7 @@ def cmd_sample(args) -> int:
 
     pe = tokenize_and_embed(prompt, vocab, params.text_table, cfg.l_center, cfg.l_surround)
     rng = np.random.default_rng(args.seed)
-    gen = ddim_sample(params, cfg.schedule(), source, mask, pe, cfg.infer_steps, rng)
+    gen = ddim_sample(params, cfg.schedule(), source, mask, pe, args.steps or cfg.infer_steps, rng)
     if args.copy:
         gen = EV.copy_center(gen, source, mask)
     with SD.output_file(args.out) as tmp:
@@ -191,13 +187,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, cfg = _checkpoint(args)
+    params, _, cfg = TR.load_checkpoint(args.ckpt)
     samples = _load_samples(args.data, cfg)
     swapped = args.mode == "swapped"
     custom = EV.swap_surrounding_colors([s.caption for s in samples], args.seed) if swapped else None
     report = EV.evaluate(params, cfg.schedule(), samples, args.n, SD.vocabulary(),
                          prompt_mode="custom" if swapped else args.mode, custom_prompts=custom,
-                         infer_steps=cfg.infer_steps, seed=args.seed, copy=args.copy, out_dir=args.out)
+                         infer_steps=args.steps or cfg.infer_steps, seed=args.seed, copy=args.copy, out_dir=args.out)
     print(report.to_text(), end="")
     return EXIT_OK
 
@@ -232,7 +228,7 @@ def main(argv=None) -> int:
         # image raises NonFiniteTraining or NonFiniteImage, reported once below
         with np.errstate(over="ignore", invalid="ignore"):
             return command(args)
-    except (TR.ConfigError, SD.BadGeometry) as exc:  # BadGeometry only comes from gen-data's flags
+    except TR.ConfigError as exc:
         print(f"outpaint: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TR.CorruptCheckpoint as exc:

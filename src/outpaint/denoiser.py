@@ -34,6 +34,11 @@ from outpaint.prompt import PromptEmbedding, Vocab
 from outpaint.tensor import ShapeMismatch, Tensor
 
 
+class ConfigError(ValueError):
+    """A bad setting: outside its declared range, refused by a rule over several settings,
+    or a config file's unknown key, unparsable value or malformed line."""
+
+
 def ranged(default, lo, hi):
     """A config field that accepts ``lo <= value <= hi``; NaN never does."""
     return field(default=default, metadata={"range": (lo, hi)})
@@ -58,13 +63,13 @@ class DenoiserConfig:
             if "range" in f.metadata:
                 value, (lo, hi) = getattr(self, f.name), f.metadata["range"]
                 if not lo <= value <= hi:
-                    raise ValueError(f"{f.name} {value} is outside its range: floor {lo}, ceiling {hi}")
+                    raise ConfigError(f"{f.name} {value} is outside its range: floor {lo}, ceiling {hi}")
         if self.image_size % self.patch_size:
-            raise ValueError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
+            raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.d_model % 4:
-            raise ValueError("d_model must be divisible by 4 (2-d sinusoidal positions)")
+            raise ConfigError("d_model must be divisible by 4 (2-d sinusoidal positions)")
         if self.grid**2 > 4096:
-            raise ValueError(f"token count {self.grid**2} exceeds its ceiling 4096")
+            raise ConfigError(f"token count {self.grid**2} exceeds its ceiling 4096")
 
     @classmethod
     def range_of(cls, name: str) -> tuple:

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from outpaint import tensor as T
+from outpaint.denoiser import ConfigError
 from outpaint.tensor import ShapeMismatch, Tensor
 
 
-class BadRange(ValueError):
+class BadRange(ConfigError):
     """Invalid schedule parameters."""
 
 

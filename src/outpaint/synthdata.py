@@ -23,11 +23,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from outpaint import ppm
-from outpaint.denoiser import DenoiserConfig
+from outpaint.denoiser import ConfigError, DenoiserConfig
 from outpaint.prompt import CsPrompt, Vocab, parse, render
 
 
-class BadGeometry(ValueError):
+class BadGeometry(ConfigError):
     """Invalid image/center size combination."""
 
 

@@ -24,6 +24,7 @@ from outpaint import denoiser as DN
 from outpaint import diffusion as D
 from outpaint import synthdata as SD
 from outpaint import tensor as T
+from outpaint.denoiser import ConfigError
 from outpaint.prompt import Vocab, tokenize_and_embed
 from outpaint.synthdata import SynthSample
 from outpaint.tensor import Tensor, backward
@@ -35,10 +36,6 @@ class GeometryMismatch(ValueError):
 
 class CorruptCheckpoint(ValueError):
     """Checkpoint file has a bad magic, a bad length, or records other than ``_records`` lists."""
-
-
-class ConfigError(ValueError):
-    """Config file contains unknown keys or unparsable values."""
 
 
 class NonFiniteTraining(ValueError):
@@ -63,12 +60,9 @@ class TrainConfig(DN.DenoiserConfig):
     grad_clip: float = DN.ranged(1.0, 0.0, sys.float_info.max)  # 0 means no clipping
 
     def __post_init__(self):
-        try:
-            super().__post_init__()
-            self.schedule()
-            SD.make_center_mask(self.image_size, self.center_size)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        super().__post_init__()
+        self.schedule()
+        SD.make_center_mask(self.image_size, self.center_size)
         parse_fusion_mode(self.a_mode)
 
     def schedule(self) -> D.NoiseSchedule:

@@ -774,29 +774,20 @@ def test_eval_clips_n_to_the_dataset_in_every_mode(tmp_path, toy_run, capsys):
         assert "n_samples = 5\n" in capsys.readouterr().out, mode
 
 
-def test_bad_sampler_steps_exit_2_and_write_nothing(tmp_path, toy_run, capsys):
-    data, run_dir = toy_run
-    ckpt = run_dir + "/model.ckpt"
-    out = tmp_path / "out"
-    assert run(["sample", "--ckpt", ckpt, "--steps", "0", "--out", str(out / "x.ppm")]) == cli.EXIT_USAGE
-    assert run(["eval", "--ckpt", ckpt, "--data", data, "--steps", "-1", "--out", str(out)]) == cli.EXIT_USAGE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all("config error" in line for line in err), err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv", [
     ["gen-data", "--n", "0"],
     ["gen-data", "--n", "-3"],
     ["ablate", "--eval-n", "0"] + TOY_SETTINGS,
     ["eval", "--n", "0"],
+    ["sample", "--steps", "0"],
+    ["eval", "--steps", "-1"],
 ])
 def test_count_flags_below_1_exit_2_and_write_nothing(tmp_path, toy_run, monkeypatch, argv):
     monkeypatch.setattr(TR, "run_training", lambda *a, **k: pytest.fail("an ablation arm trained"))
     monkeypatch.setattr(TR, "load_checkpoint", lambda *a, **k: pytest.fail("the checkpoint was read"))
     out = tmp_path / "out"
     data, run_dir = toy_run
-    inputs = {"gen-data": [], "ablate": ["--data", data],
+    inputs = {"gen-data": [], "ablate": ["--data", data], "sample": ["--ckpt", run_dir + "/model.ckpt"],
               "eval": ["--ckpt", run_dir + "/model.ckpt", "--data", data]}[argv[0]]
     assert run(argv + inputs + ["--out", str(out)]) == cli.EXIT_USAGE
     assert not out.exists()
@@ -824,6 +815,47 @@ def test_bad_seed_fraction_or_geometry_flag_exits_2_and_writes_nothing(tmp_path,
     out = tmp_path / "out"
     assert run(argv + inputs + ["--out", str(out)]) == cli.EXIT_USAGE
     assert not out.exists()
+
+
+BAD_NUMBERS = ("-1", "nan", "inf", "-inf", "", "1e400", "x")
+REQUIRED = {"gen-data": ["--n", "1"], "train": ["--data", "d"], "sample": ["--ckpt", "m.ckpt"],
+            "eval": ["--ckpt", "m.ckpt", "--data", "d"], "ablate": ["--data", "d"]}  # all but --out
+
+
+def numeric_flags():
+    """Every (command, option) whose value is a number, read from the parser ``main`` uses: an
+    option with an argparse type, or a config flag of an int or float TrainConfig field."""
+    numbers = {f"cfg_{f.name}" for f in dataclasses.fields(TR.TrainConfig) if f.type in ("int", "float")}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, a.option_strings[-1]) for command, p in sub.choices.items() for a in p._actions
+            if a.type is not None or a.dest in numbers]
+
+
+def test_every_bad_numeric_flag_value_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys):
+    class FileRead(Exception):
+        pass
+
+    def read(*args, **kwargs):
+        raise FileRead
+
+    for module, name in ((TR, "load_checkpoint"), (SD, "load_dataset"), (SD, "build_dataset"),
+                         (TR, "run_training")):
+        monkeypatch.setattr(module, name, read)
+    flags = numeric_flags()
+    assert {command for command, _ in flags} == set(REQUIRED)
+    assert ("sample", "--steps") in flags and ("eval", "--steps") in flags and ("train", "--grad-clip") in flags
+    failures = []
+    for i, (command, flag) in enumerate(flags):
+        for token in BAD_NUMBERS:
+            out = tmp_path / f"out{i}{token}"
+            try:
+                code = run([command, *REQUIRED[command], f"{flag}={token}", "--out", str(out)])
+            except FileRead:
+                code = "a file was read"
+            if code != cli.EXIT_USAGE or "Traceback" in capsys.readouterr().err or out.exists():
+                failures.append(f"{command} {flag}={token}: {code}")
+    assert not failures, failures
+    assert not os.listdir(tmp_path)
 
 
 def test_usage_errors_exit_2():

@@ -265,6 +265,13 @@ def test_invalid_model_geometry_rejected_at_construction():
         TR.config_from_mapping({"image_size": "15"})
 
 
+def test_one_error_type_for_a_bad_setting():
+    # the rule that refuses a setting raises ConfigError itself: nothing re-wraps it
+    assert issubclass(SD.BadGeometry, TR.ConfigError) and issubclass(D.BadRange, TR.ConfigError)
+    with pytest.raises(TR.ConfigError, match="d_model"):
+        DN.DenoiserConfig(d_model=18)
+
+
 def test_parse_fusion_mode():
     assert TR.parse_fusion_mode("learnable") == ("learnable", None)
     assert TR.parse_fusion_mode("random") == ("random", None)
