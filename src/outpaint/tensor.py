@@ -226,9 +226,9 @@ def scale(a: Tensor, s: float) -> Tensor:
 # -- linear algebra -----------------------------------------------------
 
 
-def _per_column(t: Tensor, width: int, what: str) -> Tensor:
-    if t.shape != (width,):
-        raise ShapeMismatch(f"{what} must have shape ({width},), got {t.shape}")
+def _per_column(t: Tensor | None, width: int, what: str) -> Tensor:
+    if getattr(t, "shape", None) != (width,):  # a missing one (None) is refused too
+        raise ShapeMismatch(f"{what} must have shape ({width},), got {getattr(t, 'shape', None)}")
     return t
 
 
@@ -351,14 +351,14 @@ def _row_mean(a: np.ndarray) -> np.ndarray:  # a.mean(axis=1, keepdims=True) is 
 
 def layernorm_rows(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """Normalize each row to zero mean, unit variance (epsilon 1e-5); given
-    ``gain`` and ``bias`` (one entry per column each), return ``y * gain + bias``."""
+    ``gain`` and ``bias`` (one entry per column each, never one alone), return ``y * gain + bias``."""
     if x.ndim != 2:
         raise ShapeMismatch(f"layernorm_rows needs a 2-d tensor, got {x.shape}")
     y = x.data - _row_mean(x.data)
     inv = 1.0 / np.sqrt(_row_mean(y * y) + 1e-5)
     y *= inv
     data, gd = y, None
-    if gain is not None:
+    if gain is not None or bias is not None:
         gain, bias = _per_column(gain, x.shape[1], "gain"), _per_column(bias, x.shape[1], "bias")
         gd = gain.data
         data = y * gd

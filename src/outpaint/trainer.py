@@ -1,11 +1,13 @@
 """Fine-tuning loop, optimizer, checkpoints, and the fusion-mode ablation.
 
-Each step draws a batch, noises every sample to a uniformly random timestep,
-runs the denoiser on (noisy, image, mask, prompt), backpropagates the mean
-squared error against the added noise before the next sample's forward, and
-applies one Adam update to every trainable parameter. All randomness for step k
-comes from a generator derived from (seed, k), so resuming from a checkpoint
-continues the exact trajectory of an uninterrupted run.
+Each step draws a batch and, per sample, a uniformly random timestep and its
+noise. ``sample_loss`` is the per-sample recipe: noise the image, embed the
+prompt, run the denoiser on (noisy, image, mask, prompt) and take the mean
+squared error against the added noise. That loss is backpropagated before the
+next sample's forward, and one Adam update to every trainable parameter ends
+the step. All randomness for step k comes from a generator derived from
+(seed, k), so resuming from a checkpoint continues the exact trajectory of an
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -199,6 +201,14 @@ def step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(step,)))
 
 
+def sample_loss(params: DN.DenoiserParams, image: np.ndarray, pixel_mask: np.ndarray, caption: str, t: int,
+                eps: np.ndarray, vocab: Vocab, schedule: D.NoiseSchedule) -> Tensor:
+    """One sample's noise loss at timestep ``t`` with noise ``eps``, on the tape and not yet backpropagated."""
+    x_t = D.forward_sample(image, t, eps, schedule)
+    pe = tokenize_and_embed(caption, vocab, params.text_table, params.cfg.l_center, params.cfg.l_surround)
+    return D.training_loss(eps, DN.forward(params, x_t, image, pixel_mask, t, pe))
+
+
 def train_step(
     batch: list[SynthSample],
     params: DN.DenoiserParams,
@@ -208,15 +218,14 @@ def train_step(
     vocab: Vocab,
     grad_clip: float = 1.0,
 ) -> float:
-    """One optimization step over a batch; returns the pre-update loss (sample
-    losses summed in batch order, then scaled by 1/B). Each sample's scaled
-    loss is backpropagated as soon as its forward ends, and ``backward`` frees
-    each node's saved arrays as it runs it, so a step holds at most one
-    sample's tape and its memory does not grow with B (about 14 MB at its
-    peak for a default 32 px sample); the B ``backward`` calls add up in the
-    leaf gradients. A sample of the wrong geometry raises
-    before any gradient is written, a non-finite loss or pre-clip gradient
-    norm (``NonFiniteTraining``) before the update."""
+    """One optimization step over a batch; returns the pre-update loss (``sample_loss``
+    values summed in batch order, then scaled by 1/B). Each sample draws its ``t``, then
+    its ``eps``, from ``rng``; its scaled loss is backpropagated as soon as its forward
+    ends, and ``backward`` frees each node's saved arrays as it runs it, so a step holds
+    at most one sample's tape and its memory does not grow with B (about 14 MB at its
+    peak for a default 32 px sample); the B ``backward`` calls add up in the leaf
+    gradients. A sample of the wrong geometry raises before any gradient is written, a
+    non-finite loss or pre-clip gradient norm (``NonFiniteTraining``) before the update."""
     if not batch:
         raise ValueError("empty batch")
     cfg = params.cfg
@@ -229,9 +238,7 @@ def train_step(
     for sample, image in zip(batch, images):
         t = int(rng.integers(1, schedule.t_steps + 1))
         eps = rng.standard_normal(cfg.image_shape)
-        x_t = D.forward_sample(image, t, eps, schedule)
-        pe = tokenize_and_embed(sample.caption, vocab, params.text_table, cfg.l_center, cfg.l_surround)
-        loss = D.training_loss(eps, DN.forward(params, x_t, image, sample.pixel_mask, t, pe))
+        loss = sample_loss(params, image, sample.pixel_mask, sample.caption, t, eps, vocab, schedule)
         backward(T.scale(loss, weight))
         loss_sum += loss.item()
     loss_value = loss_sum * weight

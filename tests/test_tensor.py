@@ -272,9 +272,10 @@ def test_folded_node_rejects_a_wrong_bias_or_gain_shape():
     for bias in (np.zeros(3), np.zeros((1, 4)), np.zeros(())):
         with pytest.raises(ShapeMismatch):
             T.matmul(x, w, Tensor(bias))
-    for gain, bias in ((np.ones(4), np.zeros(3)), (np.ones(3), np.zeros(4)), (np.ones((1, 3)), np.zeros(3))):
+    for gain, bias in ((np.ones(4), np.zeros(3)), (np.ones(3), np.zeros(4)), (np.ones((1, 3)), np.zeros(3)),
+                       (np.ones(3), None), (None, np.zeros(3))):  # gain and bias come together or not at all
         with pytest.raises(ShapeMismatch):
-            T.layernorm_rows(x, Tensor(gain), Tensor(bias))
+            T.layernorm_rows(x, *(None if a is None else Tensor(a) for a in (gain, bias)))
 
 
 # -- kernels never write to what they read -----------------------------------

@@ -18,7 +18,7 @@ from outpaint import diffusion as D
 from outpaint import synthdata as SD
 from outpaint import tensor as T
 from outpaint import trainer as TR
-from outpaint.prompt import UNCONDITIONAL, tokenize_and_embed
+from outpaint.prompt import UNCONDITIONAL
 from outpaint.tensor import Tensor
 
 
@@ -330,17 +330,33 @@ def test_default_train_step_records_at_most_744_tensors():
     assert next_node_id() - before <= 744
 
 
+# params_checksum and the repr of each loss after three default-config steps at
+# 16 and 32 px, taken at the commit before ``sample_loss`` was split out of
+# ``train_step``; a change here means the training trajectory moved.
+DEFAULT_TRAJECTORY_PINS = {
+    16: ("96a24a11c9fa78f8041f7c08cb94d8c55b1ac88df703bce7a9185599da8bb12f",
+         ["1.0329677136723816", "1.0161623907544564", "0.9519746437627158"]),
+    32: ("9070bab49fe5782565933e2c16e6fad1d7695c4160c76146b4511d974aaa3808",
+         ["1.0426877732465263", "1.0241792272363228", "0.9888975953021033"]),
+}
+
+
+@pytest.mark.parametrize("size", sorted(DEFAULT_TRAJECTORY_PINS))
+def test_default_geometry_trajectory_is_pinned(size):
+    cfg = replace(TR.TrainConfig(image_size=size, center_size=size // 2), iterations=3)
+    samples, _ = SD.build_dataset(8, seed=0, spec=SD.SynthSpec(size, size // 2))
+    params, _, losses = TR.run_training(cfg, samples, VOCAB)
+    assert (TR.params_checksum(params), [repr(loss) for loss in losses]) == DEFAULT_TRAJECTORY_PINS[size]
+
+
 def one_tape_step(batch, params, opt, schedule, rng, vocab) -> float:
     """The step as one tape: every sample's forward, the summed and scaled
     losses, then a single ``backward``. Leaves the gradients unclipped."""
-    cfg = params.cfg
     losses = []
     for sample in batch:
         t = int(rng.integers(1, schedule.t_steps + 1))
-        eps = rng.standard_normal(cfg.image_shape)
-        x_t = D.forward_sample(sample.image, t, eps, schedule)
-        pe = tokenize_and_embed(sample.caption, vocab, params.text_table, cfg.l_center, cfg.l_surround)
-        losses.append(D.training_loss(eps, DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe)))
+        eps = rng.standard_normal(params.cfg.image_shape)
+        losses.append(TR.sample_loss(params, sample.image, sample.pixel_mask, sample.caption, t, eps, vocab, schedule))
     total = losses[0]
     for extra in losses[1:]:
         total = T.add(total, extra)
@@ -419,11 +435,9 @@ def default_sample(image_size: int):
     params, rng = TR.init_model(cfg, VOCAB), TR.step_rng(cfg.seed, 0)
     t = int(rng.integers(1, cfg.t_steps + 1))
     eps = rng.standard_normal(cfg.image_shape)
-    x_t = D.forward_sample(sample.image, t, eps, cfg.schedule())
 
     def loss() -> Tensor:
-        pe = tokenize_and_embed(sample.caption, VOCAB, params.text_table, cfg.l_center, cfg.l_surround)
-        return D.training_loss(eps, DN.forward(params, x_t, sample.image, sample.pixel_mask, t, pe))
+        return TR.sample_loss(params, sample.image, sample.pixel_mask, sample.caption, t, eps, VOCAB, cfg.schedule())
 
     return params, loss
 
