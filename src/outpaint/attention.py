@@ -42,10 +42,6 @@ class MaskNotBinary(ValueError):
     """Region mask values must all be exactly 0 or 1."""
 
 
-class IndivisibleGrid(ValueError):
-    """Pixel mask dimensions are not divisible by the token grid."""
-
-
 FUSION_RANDOM = "random"
 FUSION_CONSTANT = "constant"
 FUSION_LEARNABLE = "learnable"
@@ -209,6 +205,6 @@ def resize_mask(pixel_mask: np.ndarray, token_grid: tuple[int, int]) -> RegionMa
     h, w = token_grid
     height, width = pixel_mask.shape
     if h <= 0 or w <= 0 or height % h or width % w:
-        raise IndivisibleGrid(f"pixel mask {pixel_mask.shape} not divisible by token grid {token_grid}")
+        raise ShapeMismatch(f"pixel mask {pixel_mask.shape} not divisible by token grid {token_grid}")
     cells = pixel_mask.reshape(h, height // h, w, width // w).mean(axis=(1, 3))
     return RegionMask((cells >= 0.5).astype(np.float64).reshape(-1))

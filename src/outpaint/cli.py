@@ -22,6 +22,7 @@ from outpaint import synthdata as SD
 from outpaint import trainer as TR
 from outpaint.prompt import LengthExceeded, parse, tokenize, tokenize_and_embed
 from outpaint.sampling import ddim_sample
+from outpaint.tensor import ShapeMismatch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -127,8 +128,8 @@ def _load_samples(data_dir, cfg: TR.TrainConfig):
     shape, vocab = cfg.image_shape, SD.vocabulary()
     for i, s in enumerate(samples):  # every sample, so a stray one cannot stop training midway
         if s.image.shape != shape or s.pixel_mask.shape != shape[1:]:
-            raise TR.GeometryMismatch(f"{data_dir}: sample {i} image {s.image.shape} and mask "
-                                      f"{s.pixel_mask.shape}, model expects {shape}")
+            raise ShapeMismatch(f"{data_dir}: sample {i} image {s.image.shape} and mask "
+                                f"{s.pixel_mask.shape}, model expects {shape}")
         try:
             tokenize(s.caption, vocab, cfg.l_center, cfg.l_surround)
         except LengthExceeded as exc:
@@ -167,11 +168,11 @@ def cmd_sample(args) -> int:
     else:
         mask = ppm.read_pgm(args.mask)
         if mask.shape != shape[1:]:
-            raise TR.GeometryMismatch(f"mask {args.mask} is {mask.shape}, model expects {shape[1:]}")
+            raise ShapeMismatch(f"mask {args.mask} is {mask.shape}, model expects {shape[1:]}")
     if args.image:
         source = ppm.read_ppm(args.image)
         if source.shape != shape:
-            raise TR.GeometryMismatch(f"image {args.image} is {source.shape}, model expects {shape}")
+            raise ShapeMismatch(f"image {args.image} is {source.shape}, model expects {shape}")
     else:
         source = np.zeros(shape)
 
@@ -224,8 +225,7 @@ def main(argv=None) -> int:
     command = {"gen-data": cmd_gen_data, "train": cmd_train, "sample": cmd_sample,
                "eval": cmd_eval, "ablate": cmd_ablate}[args.command]
     try:
-        # no numpy overflow warnings: a non-finite training step or sampled
-        # image raises NonFiniteTraining or NonFiniteImage, reported once below
+        # no numpy overflow warnings: a non-finite training step or sampled image raises NonFinite, reported below
         with np.errstate(over="ignore", invalid="ignore"):
             return command(args)
     except TR.ConfigError as exc:

@@ -39,6 +39,10 @@ class ConfigError(ValueError):
     or a config file's unknown key, unparsable value or malformed line."""
 
 
+class BadTimestep(ValueError):
+    """Timestep outside the schedule."""
+
+
 def ranged(default, lo, hi):
     """A config field that accepts ``lo <= value <= hi``; NaN never does."""
     return field(default=default, metadata={"range": (lo, hi)})
@@ -292,7 +296,7 @@ def time_embedding(params: DenoiserParams, ts) -> Tensor:
     ts = np.asarray(ts, dtype=np.float64)
     bad = ts[~((ts >= 0) & (ts <= cfg.t_steps))]
     if bad.size:
-        raise ValueError(f"t={bad[0]:g} outside [0, {cfg.t_steps}]")
+        raise BadTimestep(f"t={bad[0]:g} outside [0, {cfg.t_steps}]")
     rows = Tensor(sinusoidal_embedding(ts, cfg.d_model))
     h = T.gelu(T.matmul(rows, params.time_w1, params.time_b1))
     return T.matmul(h, params.time_w2, params.time_b2)

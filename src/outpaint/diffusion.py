@@ -18,16 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from outpaint import tensor as T
-from outpaint.denoiser import ConfigError
+from outpaint.denoiser import BadTimestep, ConfigError
 from outpaint.tensor import ShapeMismatch, Tensor
-
-
-class BadRange(ConfigError):
-    """Invalid schedule parameters."""
-
-
-class BadTimestep(ValueError):
-    """Timestep outside the schedule."""
 
 
 @dataclass(frozen=True)
@@ -62,9 +54,9 @@ class NoiseSchedule:
 def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linearly spaced rates, inclusive of both endpoints."""
     if t_steps < 1:
-        raise BadRange(f"t_steps must be >= 1, got {t_steps}")
+        raise ConfigError(f"t_steps must be >= 1, got {t_steps}")
     if not (0.0 < beta_start <= beta_end < 1.0):
-        raise BadRange(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
+        raise ConfigError(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
     betas = np.linspace(beta_start, beta_end, t_steps)
     alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     return NoiseSchedule(betas=betas, alpha_bars=alpha_bars)
@@ -117,7 +109,7 @@ def ddim_step(
 def ddim_timesteps(t_steps: int, n_infer: int) -> np.ndarray:
     """Descending uniform-stride step sequence from t_steps down to 0."""
     if n_infer < 1:
-        raise BadRange(f"n_infer must be >= 1, got {n_infer}")
+        raise ConfigError(f"n_infer must be >= 1, got {n_infer}")
     ts = np.unique(np.round(np.linspace(0, t_steps, min(n_infer, t_steps) + 1)).astype(np.int64))
     return ts[::-1]
 

@@ -7,11 +7,7 @@ import numpy as np
 from outpaint import denoiser as DN
 from outpaint import diffusion as D
 from outpaint.prompt import PromptEmbedding
-from outpaint.tensor import no_grad, slice_axis
-
-
-class NonFiniteImage(ValueError):
-    """The sampler produced a NaN or infinite pixel."""
+from outpaint.tensor import NonFinite, no_grad, slice_axis
 
 
 def ddim_sample(
@@ -28,7 +24,7 @@ def ddim_sample(
     The denoiser sees ``image`` only where ``pixel_mask`` is 0 (the known
     center), at every step; only the start noise is random. The
     input is conditioned and every timestep embedded once, before the steps.
-    A finished image with a non-finite pixel raises ``NonFiniteImage``.
+    A finished image with a non-finite pixel raises ``NonFinite``.
     """
     cfg = params.cfg
     if cfg.t_steps != schedule.t_steps:
@@ -45,5 +41,5 @@ def ddim_sample(
             x = D.ddim_step(x, int(taus[i]), int(taus[i + 1]), eps, schedule)
     bad = ~np.isfinite(x)
     if bad.any():
-        raise NonFiniteImage(f"{int(bad.sum())} of {x.size} image values are not finite after {n_steps} steps")
+        raise NonFinite(f"{int(bad.sum())} of {x.size} image values are not finite after {n_steps} steps")
     return x

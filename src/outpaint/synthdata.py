@@ -27,10 +27,6 @@ from outpaint.denoiser import ConfigError, DenoiserConfig
 from outpaint.prompt import CsPrompt, Vocab, parse, render
 
 
-class BadGeometry(ConfigError):
-    """Invalid image/center size combination."""
-
-
 COLOR_RGB = {
     "red": (1.0, 0.0, 0.0),
     "green": (0.0, 1.0, 0.0),
@@ -64,7 +60,7 @@ class SynthSpec:
         # recoverable from pixels; above the model's image_size ceiling no model trains on it
         ceiling = DenoiserConfig.range_of("image_size")[1]
         if self.image_size % 2 or self.center_size % 2 or not 8 <= self.center_size < self.image_size <= ceiling:
-            raise BadGeometry(f"need even sizes with 8 <= center_size < image_size <= {ceiling}, "
+            raise ConfigError(f"need even sizes with 8 <= center_size < image_size <= {ceiling}, "
                               f"got {self.center_size}/{self.image_size}")
 
 
@@ -100,9 +96,9 @@ class SynthSample:
 def _center_block(image_size: int, center_size: int) -> tuple[slice, slice]:
     """The row and column slices of the centered block that a center mask keeps."""
     if image_size % 2 or center_size % 2:
-        raise BadGeometry(f"sizes must be even, got {image_size}/{center_size}")
+        raise ConfigError(f"sizes must be even, got {image_size}/{center_size}")
     if not 0 < center_size <= image_size:
-        raise BadGeometry(f"need 0 < center_size <= image_size, got {center_size}/{image_size}")
+        raise ConfigError(f"need 0 < center_size <= image_size, got {center_size}/{image_size}")
     lo = (image_size - center_size) // 2
     return (slice(lo, lo + center_size),) * 2
 
@@ -122,7 +118,7 @@ def make_irregular_mask(seed: int, image_size: int, min_keep_fraction: float) ->
     the image is kept. Deterministic per seed.
     """
     if not 0.0 < min_keep_fraction < 1.0:
-        raise BadGeometry(f"min_keep_fraction must be in (0, 1), got {min_keep_fraction}")
+        raise ConfigError(f"min_keep_fraction must be in (0, 1), got {min_keep_fraction}")
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     c = image_size / 2.0
@@ -217,7 +213,7 @@ def split_conditional(samples: Sequence[SynthSample], uncond_fraction: float, se
     is exactly round(fraction * n).
     """
     if not 0.0 <= uncond_fraction <= 1.0:
-        raise ValueError(f"uncond_fraction must be in [0, 1], got {uncond_fraction}")
+        raise ConfigError(f"uncond_fraction must be in [0, 1], got {uncond_fraction}")
     n = len(samples)
     k = int(round(uncond_fraction * n))
     chosen = set(np.random.default_rng(seed).permutation(n)[:k].tolist())
@@ -260,9 +256,10 @@ def build_dataset(
 
 def output_dir(out):
     """``with output_dir(out) as tmp`` yields a new ``<out>.partial``, renamed onto ``out`` if the
-    block succeeds and removed if it raises. ``out`` may be missing (parents are made) or an empty
-    real directory (its mode is kept); anything else, or a ``<out>.partial`` left by a killed run,
-    raises ``FileExistsError`` at the call, so ``output_dir(out)`` alone checks a ``--out``."""
+    block succeeds and removed, with the parents it made, if it raises. ``out`` may be missing
+    (parents are made) or an empty real directory (its mode is kept); anything else, or a
+    ``<out>.partial`` left by a killed run, raises ``FileExistsError`` at the call, so
+    ``output_dir(out)`` alone checks a ``--out``."""
     out = os.path.normpath(out)
     tmp = out + ".partial"
     if os.path.islink(out) or os.path.lexists(out) and not (os.path.isdir(out) and not os.listdir(out)):
@@ -271,6 +268,9 @@ def output_dir(out):
         raise FileExistsError(f"{tmp}: left by an interrupted write; remove it first")
     @contextlib.contextmanager
     def staged():
+        made = [tmp]  # tmp and the parents it lacks, deepest first: what a failed write removes
+        while not os.path.lexists(os.path.dirname(made[-1]) or os.curdir):
+            made.append(os.path.dirname(made[-1]))
         os.makedirs(tmp)  # and its parents, with the mode a new out gets
         try:
             if os.path.isdir(out):
@@ -279,6 +279,9 @@ def output_dir(out):
             os.replace(tmp, out)
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)
+            for parent in made[1:]:
+                with contextlib.suppress(OSError):
+                    os.rmdir(parent)
             raise
     return staged()
 
@@ -287,6 +290,9 @@ def output_dir(out):
 def output_file(path):
     """``output_dir`` for one file, which may exist: the caller writes the yielded ``<path>.tmp``."""
     tmp = f"{path}.tmp"
+    made = [tmp]  # tmp and the parents it lacks, deepest first: what a failed write removes
+    while not os.path.lexists(os.path.dirname(made[-1]) or os.curdir):
+        made.append(os.path.dirname(made[-1]))
     os.makedirs(os.path.dirname(tmp) or os.curdir, exist_ok=True)
     try:
         yield tmp
@@ -294,6 +300,9 @@ def output_file(path):
     except BaseException:
         if os.path.lexists(tmp):
             os.unlink(tmp)
+        for parent in made[1:]:
+            with contextlib.suppress(OSError):
+                os.rmdir(parent)
         raise
 
 

@@ -46,15 +46,15 @@ import numpy as np
 
 
 class ShapeMismatch(ValueError):
-    """Operand shapes are incompatible with the requested operation."""
-
-
-class NotScalar(ValueError):
-    """Backward was started from a tensor with more than one element."""
+    """An array or tensor has a shape other than the one its use needs."""
 
 
 class GraphConsumed(ValueError):
     """Backward reached a node whose VJP an earlier backward already ran and freed."""
+
+
+class NonFinite(ValueError):
+    """A training step or a sampled image came out NaN or infinite."""
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
@@ -133,7 +133,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise NotScalar(f"item() on tensor of shape {self.shape}")
+            raise ShapeMismatch(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
@@ -440,7 +440,7 @@ def backward(loss: Tensor) -> None:
     once, after every consumer (a newer node).
     """
     if loss.data.size != 1:
-        raise NotScalar(f"backward from tensor of shape {loss.shape}")
+        raise ShapeMismatch(f"backward from tensor of shape {loss.shape}")
     if not loss.requires_grad:
         return
     root = loss._node or loss

@@ -32,16 +32,8 @@ from outpaint.synthdata import SynthSample
 from outpaint.tensor import Tensor, backward
 
 
-class GeometryMismatch(ValueError):
-    """Batch sample geometry differs from the model configuration."""
-
-
 class CorruptCheckpoint(ValueError):
     """Checkpoint file has a bad magic, a bad length, or records other than ``_records`` lists."""
-
-
-class NonFiniteTraining(ValueError):
-    """A training step produced a non-finite loss or gradient norm."""
 
 
 @dataclass(frozen=True)
@@ -225,14 +217,14 @@ def train_step(
     at most one sample's tape and its memory does not grow with B (about 14 MB at its
     peak for a default 32 px sample); the B ``backward`` calls add up in the leaf
     gradients. A sample of the wrong geometry raises before any gradient is written, a
-    non-finite loss or pre-clip gradient norm (``NonFiniteTraining``) before the update."""
+    non-finite loss or pre-clip gradient norm (``NonFinite``) before the update."""
     if not batch:
         raise ValueError("empty batch")
     cfg = params.cfg
     images = [sample.image for sample in batch]
     for image in images:
         if image.shape != cfg.image_shape:
-            raise GeometryMismatch(f"sample {image.shape} vs model {cfg.image_shape}")
+            raise T.ShapeMismatch(f"sample {image.shape} vs model {cfg.image_shape}")
     weight, loss_sum = 1.0 / len(batch), 0.0
     opt.zero_grad()
     for sample, image in zip(batch, images):
@@ -244,7 +236,7 @@ def train_step(
     loss_value = loss_sum * weight
     grad_norm = clip_gradients(opt.named_params, grad_clip)
     if not (math.isfinite(loss_value) and math.isfinite(grad_norm)):
-        raise NonFiniteTraining(f"step {opt.t + 1}: loss {loss_value}, gradient norm {grad_norm}")
+        raise T.NonFinite(f"step {opt.t + 1}: loss {loss_value}, gradient norm {grad_norm}")
     opt.step()
     return loss_value
 

@@ -313,5 +313,5 @@ def test_resize_mask_ties_round_to_surrounding():
 
 
 def test_resize_mask_indivisible_grid():
-    with pytest.raises(A.IndivisibleGrid):
+    with pytest.raises(ShapeMismatch):
         A.resize_mask(np.ones((10, 10)), (3, 3))

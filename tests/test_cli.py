@@ -19,7 +19,8 @@ from outpaint import evaluation as EV
 from outpaint import ppm
 from outpaint import synthdata as SD
 from outpaint import trainer as TR
-from outpaint.sampling import NonFiniteImage, ddim_sample
+from outpaint.sampling import ddim_sample
+from outpaint.tensor import NonFinite
 
 
 def run(argv):
@@ -183,6 +184,7 @@ def test_gen_data_irregular_masks(tmp_path):
 
 def test_train_writes_log_and_checkpoints(toy_run):
     _, run_dir = toy_run
+    assert sorted(os.listdir(run_dir)) == ["ckpt_000002.bin", "ckpt_000003.bin", "model.ckpt", "train_log.tsv"]
     log_lines = open(os.path.join(run_dir, "train_log.tsv")).read().splitlines()
     assert len(log_lines) == 3
     step, loss, fusion = log_lines[-1].split("\t")
@@ -225,7 +227,7 @@ def test_non_finite_training_exits_3_and_keeps_only_finite_checkpoints(tmp_path,
     flags = TOY_FLAGS + ["--learning-rate", "1e200", "--checkpoint-every", "1"]
     assert run(["train", "--data", data, "--out", str(run_dir)] + flags) == cli.EXIT_DATA
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "NonFiniteTraining: step 2:" in err[0], err
+    assert len(err) == 1 and "NonFinite: step 2:" in err[0], err
     ckpts = sorted(n for n in os.listdir(run_dir) if n.endswith((".bin", ".ckpt")))
     assert ckpts == ["ckpt_000001.bin"]  # step 2 failed before its update
     for name in ckpts:
@@ -254,7 +256,19 @@ def test_mixed_geometry_dataset_exits_3_before_step_1(tmp_path, capsys):
     assert run(["train", "--data", str(data), "--out", str(run_dir)] + flags) == cli.EXIT_DATA
     assert not (run_dir / "ckpt_000001.bin").exists()
     err = capsys.readouterr().err
-    assert "GeometryMismatch" in err and "sample 3" in err, err
+    assert "ShapeMismatch:" in err and "sample 3" in err, err
+
+
+def test_empty_dataset_exits_3_and_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", str(data), "--n", "2", "--seed", "3",
+                "--image-size", "12", "--center-size", "8"]) == 0
+    (data / "manifest.tsv").write_text("")
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--out", str(tmp_path / "run")] + TOY_FLAGS) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"outpaint: ValueError: {data}: empty dataset"], err
+    assert sorted(os.listdir(tmp_path)) == ["data"]
 
 
 def test_over_long_caption_exits_3_before_anything_is_written(tmp_path, toy_run, capsys):
@@ -336,7 +350,7 @@ def test_non_finite_sample_exits_3_and_writes_no_image(tmp_path, toy_run, capsys
     out = tmp_path / "out" / "x.ppm"
     assert run(["sample", "--ckpt", str(run_dir / "ckpt_000001.bin"), "--out", str(out)]) == cli.EXIT_DATA
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "NonFiniteImage" in err[0], err
+    assert len(err) == 1 and "NonFinite:" in err[0], err
     assert not out.exists()
 
 
@@ -400,6 +414,8 @@ def test_failed_sample_write_keeps_the_previous_file(tmp_path, toy_run, monkeypa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "no space left on device" in err[0], err
     assert out.read_bytes() == before
+    nested = tmp_path / "a" / "b" / "s.ppm"  # its missing parents are made, then removed with the failure
+    assert run(["sample", "--ckpt", ckpt, "--steps", "2", "--out", str(nested)]) == cli.EXIT_DATA
     assert os.listdir(tmp_path) == ["x.ppm"]
 
 
@@ -433,7 +449,19 @@ def test_sample_with_a_mask_file_of_the_wrong_size_exits_3_and_writes_nothing(tm
     assert run(["sample", "--ckpt", os.path.join(run_dir, "model.ckpt"), "--mask", str(mask_path),
                 "--out", str(out)]) == cli.EXIT_DATA
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("outpaint: GeometryMismatch:") and str(mask_path) in err[0], err
+    assert len(err) == 1 and err[0].startswith("outpaint: ShapeMismatch:") and str(mask_path) in err[0], err
+    assert not out.exists()
+
+
+def test_sample_with_an_image_file_of_the_wrong_size_exits_3_and_writes_nothing(tmp_path, toy_run, capsys):
+    _, run_dir = toy_run
+    image_path = tmp_path / "small.ppm"
+    ppm.write_ppm(image_path, np.zeros((3, 8, 8)))
+    out = tmp_path / "x.ppm"
+    assert run(["sample", "--ckpt", os.path.join(run_dir, "model.ckpt"), "--image", str(image_path),
+                "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("outpaint: ShapeMismatch:") and str(image_path) in err[0], err
     assert not out.exists()
 
 
@@ -525,7 +553,7 @@ def _capped_cli(argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run([sys.executable, "-m", "outpaint.cli", *argv], capture_output=True,
-                          text=True, env=env, preexec_fn=_cap_address_space)
+                          text=True, env=env, preexec_fn=_cap_address_space, timeout=120)  # a hang fails
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_CHECKPOINTS))
@@ -540,7 +568,7 @@ def test_hostile_checkpoint_exits_4_without_traceback(tmp_path, name):
 @pytest.mark.parametrize("flag,value", [("--t-steps", "8589934592"), ("--image-size", "393216"),
                                         ("--l-center", "8589934592"), ("--d-model", "1000000"),
                                         ("--d-text", "100000000"), ("--n-blocks", "100000000"),
-                                        ("--batch-size", "10000000000")])
+                                        ("--batch-size", "10000000000"), ("--image-size", "198")])
 def test_hostile_size_flag_exits_2_before_any_checkpoint(tmp_path, toy_run, flag, value):
     data, _ = toy_run
     run_dir = tmp_path / "run"
@@ -667,7 +695,8 @@ def test_endless_checkpoint_file_exits_4_without_traceback(tmp_path):
 
 
 # header sizes: 10^10 pixels declared by a 33-byte file, and sizes that are not positive integers
-HOSTILE_IMAGE_SIZES = {"huge": b"100000 100000", "non_integer": b"ab 2", "negative": b"-1 -1", "zero": b"0 0"}
+HOSTILE_IMAGE_SIZES = {"huge": b"100000 100000", "non_integer": b"ab 2", "negative": b"-1 -1", "zero": b"0 0",
+                       "truncated": b"12"}  # "255" is read as the height, and the file ends inside maxval
 
 
 @pytest.mark.parametrize("flag,magic", [("--image", b"P6"), ("--mask", b"P5")])
@@ -714,15 +743,17 @@ def test_eval_failing_at_a_later_image_exits_3_and_leaves_no_out(tmp_path, toy_r
     def second_image_fails(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
-            raise NonFiniteImage("3 of 432 image values are not finite after 2 steps")
+            raise NonFinite("3 of 432 image values are not finite after 2 steps")
         return ddim_sample(*args, **kwargs)
 
     monkeypatch.setattr(EV, "ddim_sample", second_image_fails)
-    assert run(["eval", "--ckpt", run_dir + "/model.ckpt", "--data", data, "--n", "3", "--steps", "2",
-                "--out", str(tmp_path / "rep")]) == cli.EXIT_DATA
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "NonFiniteImage" in err[0], err
-    assert len(calls) == 2 and os.listdir(tmp_path) == []
+    for out in (tmp_path / "rep", tmp_path / "new" / "parent" / "rep"):  # missing parents are made, then removed
+        calls.clear()
+        assert run(["eval", "--ckpt", run_dir + "/model.ckpt", "--data", data, "--n", "3", "--steps", "2",
+                    "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "NonFinite:" in err[0], err
+        assert len(calls) == 2 and os.listdir(tmp_path) == []
 
 
 KILL_AT_SECOND_IMAGE = """
@@ -886,7 +917,7 @@ def test_failed_ablate_exits_3_and_leaves_no_out(tmp_path, toy_run, capsys):
     flags = TOY_SETTINGS + ["--learning-rate", "1e200"]
     assert run(["ablate", "--data", toy_run[0], "--out", str(out), "--eval-n", "2"] + flags) == cli.EXIT_DATA
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "NonFiniteTraining: step 2:" in err[0], err
+    assert len(err) == 1 and "NonFinite: step 2:" in err[0], err
     assert not out.exists()
 
 

@@ -162,11 +162,13 @@ def test_forward_validates_inputs():
     pe = embed(params, prompt)
     with pytest.raises(ShapeMismatch):
         DN.forward(params, x_t[:, :4], masked, mask, 3, pe)
+    with pytest.raises(ShapeMismatch, match="mask shape"):
+        DN.condition(params, masked, mask[:4, :4], pe)
     bad = mask.copy()
     bad[0, 0] = 0.5
     with pytest.raises(MaskNotBinary):
         DN.forward(params, x_t, masked, bad, 3, pe)
-    with pytest.raises(ValueError):
+    with pytest.raises(DN.BadTimestep):
         DN.forward(params, x_t, masked, mask, cfg.t_steps + 1, pe)
 
 
@@ -192,7 +194,7 @@ def test_time_embedding_rows_and_range():
     for i, t in enumerate((50, 25, 0)):
         np.testing.assert_allclose(rows[i], DN.time_embedding(params, [t]).data[0], atol=1e-12)
     for t in (-1, cfg.t_steps + 1):
-        with pytest.raises(ValueError):
+        with pytest.raises(DN.BadTimestep):
             DN.time_embedding(params, [0, t])
 
 

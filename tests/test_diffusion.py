@@ -41,7 +41,7 @@ def test_schedule_recurrence_and_monotonicity():
 
 def test_schedule_bad_ranges():
     for args in [(0, 0.1, 0.2), (10, 0.0, 0.2), (10, 0.3, 0.2), (10, 0.1, 1.0)]:
-        with pytest.raises(D.BadRange):
+        with pytest.raises(D.ConfigError):
             D.linear_schedule(*args)
 
 

@@ -9,8 +9,8 @@ from outpaint import tensor as T
 from outpaint import trainer as TR
 from outpaint.attention import MaskNotBinary
 from outpaint.prompt import tokenize_and_embed
-from outpaint.sampling import NonFiniteImage, ddim_sample
-from outpaint.tensor import ShapeMismatch, Tensor
+from outpaint.sampling import ddim_sample
+from outpaint.tensor import NonFinite, ShapeMismatch, Tensor
 
 
 VOCAB = SD.vocabulary()
@@ -54,7 +54,7 @@ def test_non_finite_image_is_rejected():
     params, sample, pe = setup()
     params.out_w.data *= np.inf  # the output head sums +inf and -inf: the predicted noise is NaN
     masked = sample.image * (1 - sample.pixel_mask)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteImage):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
         ddim_sample(params, CFG.schedule(), masked, sample.pixel_mask, pe, 5, np.random.default_rng(3))
 
 

@@ -9,7 +9,6 @@ import pytest
 from outpaint import tensor as T
 from outpaint.tensor import (
     GraphConsumed,
-    NotScalar,
     ShapeMismatch,
     Tensor,
     backward,
@@ -120,7 +119,7 @@ def test_a_consumed_graph_changes_no_gradient():
 
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    with pytest.raises(NotScalar):
+    with pytest.raises(ShapeMismatch):
         backward(T.mul(x, x))
 
 

@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import importlib
 import math
 import os
+import pkgutil
 import struct
 import tracemalloc
 import types
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import outpaint
 from outpaint import cli
 from outpaint import denoiser as DN
 from outpaint import diffusion as D
@@ -265,11 +268,36 @@ def test_invalid_model_geometry_rejected_at_construction():
         TR.config_from_mapping({"image_size": "15"})
 
 
+def test_each_fault_has_one_exception_type():
+    for module in pkgutil.iter_modules(outpaint.__path__, "outpaint."):
+        importlib.import_module(module.name)
+    declared, todo = set(), [Exception]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("outpaint."):
+            declared.add(f"{cls.__module__}.{cls.__qualname__}")
+    assert declared == {
+        "outpaint.tensor.ShapeMismatch", "outpaint.tensor.GraphConsumed", "outpaint.tensor.NonFinite",
+        "outpaint.attention.MaskNotBinary",
+        "outpaint.denoiser.ConfigError", "outpaint.denoiser.BadTimestep",
+        "outpaint.trainer.CorruptCheckpoint",
+        "outpaint.prompt.MalformedPrompt", "outpaint.prompt.LengthExceeded",
+        "outpaint.ppm.BadImageFile",
+    }
+
+
 def test_one_error_type_for_a_bad_setting():
-    # the rule that refuses a setting raises ConfigError itself: nothing re-wraps it
-    assert issubclass(SD.BadGeometry, TR.ConfigError) and issubclass(D.BadRange, TR.ConfigError)
-    with pytest.raises(TR.ConfigError, match="d_model"):
-        DN.DenoiserConfig(d_model=18)
+    # the rule that refuses a setting raises ConfigError itself: nothing re-wraps or subclasses it
+    refusals = {"d_model": lambda: DN.DenoiserConfig(d_model=18),
+                "center_size": lambda: SD.SynthSpec(image_size=16, center_size=6),
+                "uncond_fraction": lambda: SD.split_conditional([], 1.5, seed=0),
+                "beta_start": lambda: D.linear_schedule(10, 0.3, 0.2),
+                "n_infer": lambda: D.ddim_timesteps(10, 0)}
+    for setting, refuse in refusals.items():
+        with pytest.raises(TR.ConfigError, match=setting) as info:
+            refuse()
+        assert type(info.value) is TR.ConfigError, setting
 
 
 def test_parse_fusion_mode():
@@ -513,7 +541,7 @@ def test_non_finite_step_raises_before_the_update():
     opt = TR.Adam(params.trainable_parameters(), lr=1e-3)
     params.out_b.data[0] = np.nan
     before = TR.params_checksum(params)
-    with pytest.raises(TR.NonFiniteTraining, match="step 1"):
+    with pytest.raises(T.NonFinite, match="step 1"):
         TR.train_step(toy_samples()[:2], params, opt, TOY.schedule(), TR.step_rng(0, 0), VOCAB)
     assert opt.t == 0
     assert TR.params_checksum(params) == before
@@ -523,10 +551,10 @@ def test_geometry_mismatch_rejected():
     params = TR.init_model(TOY, VOCAB)
     opt = TR.Adam(params.trainable_parameters(), lr=1e-3)
     bad = SD.generate(0)  # 16x16 sample vs 12x12 model
-    with pytest.raises(TR.GeometryMismatch):
+    with pytest.raises(T.ShapeMismatch):
         TR.train_step([bad], params, opt, TOY.schedule(), TR.step_rng(0, 0), VOCAB)
     before = TR.params_checksum(params)
-    with pytest.raises(TR.GeometryMismatch):  # raised before the good sample is backpropagated
+    with pytest.raises(T.ShapeMismatch):  # raised before the good sample is backpropagated
         TR.train_step([toy_samples()[0], bad], params, opt, TOY.schedule(), TR.step_rng(0, 0), VOCAB)
     assert TR.params_checksum(params) == before
     assert opt.t == 0

@@ -12,8 +12,10 @@ and the SHA-256 of every file the argv wrote, changed or removed. Prints one
 line per argv that differs between the sides and exits 1 on any difference,
 0 when there is none.
 
-The corpus is the CI walkthrough at criterion 10's toy sizes, criterion 10's
-argvs, and one argv per refusal kind.
+The corpus is the README walkthrough at criterion 10's toy sizes with the
+refusals that follow from it (a bad ``--steps``, a rerun into a used
+``--out``, a setting ``ablate`` does not read), criterion 10's argvs, and one
+argv per refusal kind.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ FILES = {
 }
 
 CORPUS = [
-    # the CI walkthrough
+    # the README walkthrough at toy sizes, and the refusals that follow from it
     ["gen-data", "--out", "d", "--n", "6", "--seed", "21", "--image-size", "12", "--center-size", "8",
      "--uncond-fraction", "0.2"],
     ["train", "--data", "d", "--out", "run", "--iterations", "2", *TOY],
